@@ -3,6 +3,9 @@
 The expansion loop runs on an integer state (P, Q, D) representing
 (P + sqrt(D))/Q with Q dividing D - P*P, so every quotient is produced by one
 floor-division; a single integer square root per expansion drives the loop.
+The next Q comes from the recurrence Q' = Q_prev + a*(P - P'), so no step
+squares P or divides D - P'*P' by Q, which keeps each step linear in the bit
+size of the state.
 """
 
 from __future__ import annotations
@@ -20,9 +23,16 @@ from .surds import (
     in_omega,
     mobius_apply,
     normalize,
+    unlimited_digits,
 )
 
 Word = words.Word
+
+
+def _check_quotients(w: Word) -> None:
+    for n in w:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError("partial quotients must be integers >= 1")
 
 
 @dataclass(frozen=True)
@@ -42,13 +52,19 @@ class PeriodicCFE:
     def __post_init__(self) -> None:
         if not self.period:
             raise ValueError("period must be nonempty")
-        for n in self.initial + self.period:
-            if not isinstance(n, int) or n < 1:
-                raise ValueError("partial quotients must be integers >= 1")
+        _check_quotients(self.initial + self.period)
         if not words.is_primitive(self.period):
             raise ValueError(f"period {self.period} is not primitive")
         if self.initial and self.initial[-1] == self.period[-1]:
             raise ValueError("initial block ends inside the period; not canonical")
+
+    @classmethod
+    def _trusted(cls, initial: Word, period: Word) -> "PeriodicCFE":
+        # for blocks already canonical by construction: skips __post_init__
+        e = object.__new__(cls)
+        object.__setattr__(e, "initial", initial)
+        object.__setattr__(e, "period", period)
+        return e
 
     def __str__(self) -> str:
         return format_block(self)
@@ -91,10 +107,11 @@ def _floor_pq(p: int, q: int, sd: int) -> int:
     return (-p - sd - 1) // -q
 
 
-def _reciprocal_state(x: QuadraticSurd) -> tuple[int, int, int]:
-    # state of 1/x, the stream all partial quotients of x are read from
+def _reciprocal_state(x: QuadraticSurd) -> tuple[int, int, int, int]:
+    # (P, Q, Q_prev, D) of 1/x, the stream all partial quotients of x are read
+    # from; Q_prev * Q = D - P*P, and x itself has Q_prev as its Q
     st = to_pq_form(x)
-    return -st.P, (st.D - st.P * st.P) // st.Q, st.D
+    return -st.P, (st.D - st.P * st.P) // st.Q, st.Q, st.D
 
 
 def cfe_expand(x: QuadraticSurd, n: int) -> Word:
@@ -103,37 +120,51 @@ def cfe_expand(x: QuadraticSurd, n: int) -> Word:
         raise ValueError("need n >= 1")
     if not in_omega(x):
         raise DomainError(f"{x} is not inside (0, 1)")
-    p, q, d = _reciprocal_state(x)
+    p, q, q_prev, d = _reciprocal_state(x)
     sd = math.isqrt(d)
     out = []
     for _ in range(n):
         a = _floor_pq(p, q, sd)
         out.append(a)
-        p = a * q - p
-        q = (d - p * p) // q
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        p = p_next
     return tuple(out)
 
 
 def cfe_periodic(x: QuadraticSurd) -> PeriodicCFE:
     """Canonical eventually periodic expansion of a quadratic irrational.
 
-    The loop stops at the first repeated (P, Q) state; the pre-period and the
-    detected cycle are then put in canonical form.
+    By Galois' theorem the expansion of a complete quotient (P + sqrt(D))/Q is
+    purely periodic exactly when the quotient is reduced, which in integers
+    reads 0 < P <= isqrt(D) and isqrt(D) - P < Q <= isqrt(D) + P.  The index
+    of the first reduced state is therefore the exact pre-period, every later
+    state is reduced too, and the number of steps until that state comes back
+    is the primitive period.  The block is canonical as it stands, and beside
+    the quotients themselves the loop keeps O(1) state.
     """
     if not in_omega(x):
         raise DomainError(f"{x} is not inside (0, 1)")
-    p, q, d = _reciprocal_state(x)
+    p, q, q_prev, d = _reciprocal_state(x)
     sd = math.isqrt(d)
-    seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
-    while (p, q) not in seen:
-        seen[(p, q)] = len(quotients)
+    while not (0 < p <= sd and sd - p < q <= sd + p):
         a = _floor_pq(p, q, sd)
         quotients.append(a)
-        p = a * q - p
-        q = (d - p * p) // q
-    start = seen[(p, q)]
-    return minimal_period_normalize(tuple(quotients[:start]), tuple(quotients[start:]))
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        p = p_next
+    start = len(quotients)
+    p0, q0 = p, q
+    while True:
+        a = (p + sd) // q  # q > 0 in every reduced state
+        quotients.append(a)
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        p = p_next
+        if p == p0 and q == q0:
+            break
+    return PeriodicCFE._trusted(tuple(quotients[:start]), tuple(quotients[start:]))
 
 
 def minimal_period_normalize(initial: Word, period: Word) -> PeriodicCFE:
@@ -145,12 +176,14 @@ def minimal_period_normalize(initial: Word, period: Word) -> PeriodicCFE:
     """
     if not period:
         raise ValueError("period must be nonempty")
-    period = period[: words.primitive_root_length(period)]
+    _check_quotients(initial)
+    _check_quotients(period)
+    period = tuple(period[: words.primitive_root_length(period)])
     head = list(initial)
     while head and head[-1] == period[-1]:
         head.pop()
         period = period[-1:] + period[:-1]
-    return PeriodicCFE(tuple(head), period)
+    return PeriodicCFE._trusted(tuple(head), period)
 
 
 def sigma_shift(e: PeriodicCFE) -> PeriodicCFE:
@@ -174,19 +207,39 @@ def cfe_step_matrix(a: int) -> UnimodularMatrix:
     return UnimodularMatrix(0, 1, 1, a)
 
 
+# blocks at most this long are folded one matrix at a time
+_FOLD_LEAF = 32
+
+
+def _fold(w: Word, lo: int, hi: int) -> tuple[int, int, int, int]:
+    # entries (p, q, r, s) of the product of cfe_step_matrix(a) over w[lo:hi];
+    # halving keeps the operands of each big multiplication balanced
+    if hi - lo <= _FOLD_LEAF:
+        p, q, r, s = 1, 0, 0, 1
+        for i in range(lo, hi):
+            a = w[i]
+            p, q, r, s = q, p + q * a, s, r + s * a
+        return p, q, r, s
+    mid = (lo + hi) // 2
+    p1, q1, r1, s1 = _fold(w, lo, mid)
+    p2, q2, r2, s2 = _fold(w, mid, hi)
+    return p1 * p2 + q1 * r2, p1 * q2 + q1 * s2, r1 * p2 + s1 * r2, r1 * q2 + s1 * s2
+
+
 def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
     """The unique x in (0, 1) whose expansion is the given block.
 
     The period's step matrices compose to [[p, q], [r, s]]; the purely
     periodic tail is the root of r*y^2 + (s-p)*y - q inside (0, 1), and the
-    initial block is then applied as a single composed matrix.  The quadratic
-    is divided by its content first: that leaves the primitive minimal
-    polynomial, whose discriminant stays at the scale of the field instead of
-    inheriting the exponential growth of the matrix entries.
+    initial block is then applied as a single composed matrix.  Both products
+    are built as product trees (binary splitting): halves are folded
+    recursively and multiplied once, so the cost follows fast multiplication
+    of the final entries instead of growing quadratically in their bit size.
+    The quadratic is divided by its content first: that leaves the primitive
+    minimal polynomial, whose discriminant stays at the scale of the field
+    instead of inheriting the exponential growth of the matrix entries.
     """
-    p, q, r, s = 1, 0, 0, 1
-    for a in e.period:
-        p, q, r, s = q, p + q * a, s, r + s * a
+    p, q, r, s = _fold(e.period, 0, len(e.period))
     g = math.gcd(r, s - p, q)
     rr, bb, qq = r // g, (s - p) // g, q // g
     disc = bb * bb + 4 * rr * qq
@@ -194,10 +247,7 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
     if not in_omega(y):
         y = normalize(-bb, -1, 2 * rr, disc)
     if e.initial:
-        m = UnimodularMatrix.identity()
-        for a in e.initial:
-            m = m @ cfe_step_matrix(a)
-        y = mobius_apply(m, y)
+        y = mobius_apply(UnimodularMatrix(*_fold(e.initial, 0, len(e.initial))), y)
     return y
 
 
@@ -208,6 +258,7 @@ _PURE_RE = re.compile(r"^\((\d+(?:,\d+)*)\)$")
 _MIXED_RE = re.compile(r"^(\d+(?:,\d+)*),\((\d+(?:,\d+)*)\)$")
 
 
+@unlimited_digits
 def format_block(e: PeriodicCFE) -> str:
     period = "(" + ",".join(map(str, e.period)) + ")"
     if not e.initial:
@@ -215,6 +266,7 @@ def format_block(e: PeriodicCFE) -> str:
     return ",".join(map(str, e.initial)) + "," + period
 
 
+@unlimited_digits
 def parse_block(text: str) -> PeriodicCFE:
     """Parse `2,1,(3,1,4)` or `(1,2,3)`; the result is canonicalized."""
     t = re.sub(r"\s+", "", text)
@@ -237,6 +289,7 @@ def block_to_json(e: PeriodicCFE) -> dict[str, list[int]]:
     return {"initial": list(e.initial), "period": list(e.period)}
 
 
+@unlimited_digits
 def block_from_json(obj: dict) -> PeriodicCFE:
     try:
         initial = tuple(int(n) for n in obj["initial"])

@@ -23,7 +23,7 @@ from .cfe import (
     surd_from_cfe,
 )
 from .cuntz import Cycle, classify_surd, is_nonperiodic
-from .equivalence import modular_equivalent, omega_class_label
+from .equivalence import omega_class_label
 from .surds import (
     DomainError,
     NotIrrational,
@@ -37,6 +37,7 @@ from .surds import (
     parse_surd,
     poly_discriminant,
     surd_to_json,
+    unlimited_digits,
 )
 
 EXIT_OK = 0
@@ -94,8 +95,8 @@ def cmd_solve(args) -> int:
 
 def cmd_equiv(args) -> int:
     x, y = parse_surd(args.left), parse_surd(args.right)
-    eq = modular_equivalent(x, y)
     lx, ly = omega_class_label(x), omega_class_label(y)
+    eq = lx == ly  # equal labels are exactly modular equivalence
     verdict = "equivalent" if eq else "inequivalent"
     payload = {"equivalent": eq, "label_left": list(lx), "label_right": list(ly)}
     lines = [verdict, f"label_left: {_word_text(lx)}", f"label_right: {_word_text(ly)}"]
@@ -327,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@unlimited_digits  # answers and their JSON are printed at full precision
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

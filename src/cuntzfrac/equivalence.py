@@ -12,6 +12,7 @@ from .surds import (
     floor_of,
     in_omega,
     mobius_apply,
+    poly_discriminant,
     shift_by_int,
 )
 
@@ -32,12 +33,16 @@ def tail_equivalent(a: PeriodicCFE, b: PeriodicCFE) -> bool:
 def modular_equivalent(x: QuadraticSurd, y: QuadraticSurd) -> bool:
     """Decide x ~ y under integer Moebius maps of determinant +-1.
 
-    Decided by comparing repeating blocks, which is exact and terminating;
-    no witness matrix is ever searched for.
+    Maps of determinant +-1 preserve the discriminant of the primitive
+    minimal polynomial, so differing discriminants answer at once; otherwise
+    repeating blocks are compared, which is exact and terminating.  No
+    witness matrix is ever searched for.
     """
     for v in (x, y):
         if not in_omega(v):
             raise DomainError(f"{v} is not inside (0, 1)")
+    if poly_discriminant(x) != poly_discriminant(y):
+        return False
     return tail_equivalent(cfe_periodic(x), cfe_periodic(y))
 
 

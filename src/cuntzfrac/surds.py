@@ -8,9 +8,11 @@ used to bracket floors.  All values are immutable and all operations pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -320,13 +322,37 @@ def field_discriminant(x: QuadraticSurd) -> int:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
+def unlimited_digits(fn):
+    """Decorator: run fn with CPython's int<->str digit limit lifted.
+
+    Coefficients have arbitrary precision, so their decimal text must too.
+    The limit is lifted only while fn runs and restored afterwards, never
+    changed process-wide; interpreters without the limit get fn unchanged.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    return wrapper
+
+
 _SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/([+-]?\d+)$")
 
 
+@unlimited_digits
 def format_surd(x: QuadraticSurd) -> str:
     return f"({x.a}{x.b:+d}*sqrt({x.d}))/{x.c}"
 
 
+@unlimited_digits
 def parse_surd(text: str) -> QuadraticSurd:
     """Parse `(<a>+<b>*sqrt(<d>))/<c>`, e.g. `(-1+1*sqrt(5))/2`."""
     m = _SURD_RE.match(re.sub(r"\s+", "", text))
@@ -336,10 +362,12 @@ def parse_surd(text: str) -> QuadraticSurd:
     return normalize(a, b, c, d)
 
 
+@unlimited_digits
 def surd_to_json(x: QuadraticSurd) -> dict[str, str]:
     return {"a": str(x.a), "b": str(x.b), "c": str(x.c), "d": str(x.d)}
 
 
+@unlimited_digits
 def surd_from_json(obj: dict) -> QuadraticSurd:
     try:
         return normalize(*(int(obj[k]) for k in ("a", "b", "c", "d")))
@@ -349,6 +377,7 @@ def surd_from_json(obj: dict) -> QuadraticSurd:
         raise ParseError(f"not a surd object: {obj!r}") from exc
 
 
+@unlimited_digits
 def approx_decimal(x: QuadraticSurd, digits: int) -> str:
     """Decimal expansion with `digits` fractional digits, truncated toward -inf.
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from cuntzfrac import (
     ParseError,
     PeriodicCFE,
     PQState,
+    UnimodularMatrix,
     block_from_json,
     block_prefix,
     block_to_json,
@@ -26,6 +28,7 @@ from cuntzfrac import (
     surd_from_cfe,
     to_pq_form,
 )
+from cuntzfrac.cfe import _FOLD_LEAF, _fold
 from cuntzfrac.surds import DomainError
 from cuntzfrac.words import is_primitive
 
@@ -228,3 +231,147 @@ class TestBlockText:
         obj = block_to_json(e)
         assert obj == {"initial": [2], "period": [3, 1]}
         assert block_from_json(obj) == e
+
+
+# ---------------------------------------------------------------------------
+# oracles: the expansion core as it was before the reduced-state loop and the
+# product tree, kept here so the faster code is checked against it
+
+
+def _seen_dict_periodic(x):
+    """Stop at the first repeated (P, Q) state, then canonicalize the block."""
+    st = to_pq_form(x)
+    p, q, d = -st.P, (st.D - st.P * st.P) // st.Q, st.D
+    sd = math.isqrt(d)
+    seen = {}
+    quotients = []
+    while (p, q) not in seen:
+        seen[(p, q)] = len(quotients)
+        a = (p + sd) // q if q > 0 else (-p - sd - 1) // -q
+        quotients.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    start = seen[(p, q)]
+    return minimal_period_normalize(tuple(quotients[:start]), tuple(quotients[start:]))
+
+
+def _sequential_fold(w):
+    p, q, r, s = 1, 0, 0, 1
+    for a in w:
+        p, q, r, s = q, p + q * a, s, r + s * a
+    return p, q, r, s
+
+
+def _sequential_surd_from_cfe(e):
+    p, q, r, s = _sequential_fold(e.period)
+    g = math.gcd(r, s - p, q)
+    rr, bb, qq = r // g, (s - p) // g, q // g
+    disc = bb * bb + 4 * rr * qq
+    y = normalize(-bb, 1, 2 * rr, disc)
+    if not in_omega(y):
+        y = normalize(-bb, -1, 2 * rr, disc)
+    if e.initial:
+        m = UnimodularMatrix.identity()
+        for a in e.initial:
+            m = m @ cfe_step_matrix(a)
+        y = mobius_apply(m, y)
+    return y
+
+
+def _needs_scaling(x):
+    # to_pq_form must scale when Q does not divide D - P*P as read off x
+    p, q = (x.a, x.c) if x.b > 0 else (-x.a, -x.c)
+    return (x.b * x.b * x.d - p * p) % q != 0
+
+
+FOLD_LENGTHS = (1, _FOLD_LEAF - 1, _FOLD_LEAF, _FOLD_LEAF + 1, 2 * _FOLD_LEAF + 1, 1000)
+
+
+class TestCoreOracles:
+    def test_random_surds_match_old_core(self):
+        rng = random.Random(41)
+        negative_b = scaled = 0
+        for i in range(600):
+            x = random_surd(rng, max_d=150 if i % 3 else 10**5)
+            negative_b += x.b < 0
+            scaled += _needs_scaling(x)
+            e = cfe_periodic(x)
+            assert e == _seen_dict_periodic(x)
+            # built without validation, so check that the output is canonical
+            assert minimal_period_normalize(e.initial, e.period) == e
+            assert PeriodicCFE(e.initial, e.period) == e
+            y = surd_from_cfe(e)
+            assert y == _sequential_surd_from_cfe(e) == x
+        assert negative_b > 100 and scaled > 100
+
+    @pytest.mark.parametrize("n", FOLD_LENGTHS)
+    def test_tree_fold_matches_sequential(self, n):
+        rng = random.Random(n)
+        w = tuple(rng.randint(1, 10**6) for _ in range(n))
+        assert _fold(w, 0, n) == _sequential_fold(w)
+
+    @pytest.mark.parametrize("n", FOLD_LENGTHS)
+    def test_initial_block_tree(self, n):
+        # long initial blocks of large entries in front of a short period
+        rng = random.Random(1000 + n)
+        initial = tuple(rng.randint(1, 10**6) for _ in range(n))
+        period = (1, 2) if initial[-1] == 2 else (2,)
+        e = PeriodicCFE(initial, period)
+        x = surd_from_cfe(e)
+        assert x == _sequential_surd_from_cfe(e)
+        assert cfe_periodic(x) == e == _seen_dict_periodic(x)
+
+    def test_long_period_matches_old_core(self):
+        # sqrt(1000024) has a period of 1166 quotients: several levels of tree
+        d = 1_000_024
+        x = normalize(-math.isqrt(d), 1, 1, d)
+        e = cfe_periodic(x)
+        assert len(e.period) > 2 * _FOLD_LEAF + 1
+        assert e == _seen_dict_periodic(x)
+        assert surd_from_cfe(e) == _sequential_surd_from_cfe(e) == x
+        shifted = minimal_period_normalize((3, 1, 4), e.period)
+        assert surd_from_cfe(shifted) == _sequential_surd_from_cfe(shifted)
+        assert cfe_periodic(surd_from_cfe(shifted)) == shifted
+
+
+class TestSympyOracle:
+    def test_matches_sympy(self):
+        ntheory = pytest.importorskip("sympy.ntheory")
+        rng = random.Random(47)
+        for _ in range(25):  # sympy spends milliseconds per quotient
+            x = random_surd(rng)
+            sign = 1 if x.b > 0 else -1
+            got = ntheory.continued_fraction_periodic(x.a, x.c, x.b * x.b * x.d, sign)
+            *head, period = got
+            assert head[0] == 0  # x lies in (0, 1)
+            want = minimal_period_normalize(tuple(map(int, head[1:])), tuple(map(int, period)))
+            assert cfe_periodic(x) == want
+
+
+class TestHugeCoefficients:
+    # coefficients and quotients far beyond CPython's default limit of 4,300
+    # digits for int <-> str conversion
+
+    def test_block_text_and_json(self):
+        big_text = "1" + "0" * 9_999 + "7"  # 10**10_000 + 7
+        e = PeriodicCFE((10**10_000 + 7, 3), (1,))
+        text = f"{big_text},3,(1)"
+        assert format_block(e) == str(e) == text
+        assert parse_block(text) == e
+        assert block_from_json({"initial": [big_text, "3"], "period": ["1"]}) == e
+
+    def test_long_initial_block_round_trip(self):
+        e = parse_block("9," * 5000 + "(1)")
+        x = surd_from_cfe(e)
+        assert x.a.bit_length() > 30_000  # over 9,000 decimal digits
+        assert cfe_periodic(x) == e
+        assert cfe_expand(x, 5002) == block_prefix(e, 5002)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
+    def test_limit_is_restored(self):
+        before = sys.get_int_max_str_digits()
+        format_block(PeriodicCFE((10**5000,), (1,)))
+        assert sys.get_int_max_str_digits() == before
+        with pytest.raises(ParseError):
+            parse_block("(" + "1" * 5000 + ",0)")
+        assert sys.get_int_max_str_digits() == before

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cuntzfrac import equivalence
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
 
@@ -83,6 +84,33 @@ class TestSolve:
         assert code == 0
         assert "approx: 0.618033" in out
 
+    def test_approx_beyond_int_text_limit(self, capsys):
+        code, out, err = run(capsys, "solve", "(1,2,3)", "--approx", "5000")
+        assert code == 0, err
+        approx = out.splitlines()[-1]
+        assert approx.startswith("approx: 0.6942541767660732")
+        assert len(approx) == len("approx: 0.") + 5000
+
+    def test_long_initial_block(self, capsys):
+        # 5,000 initial quotients give coefficients of about 9,600 digits
+        block = "9," * 5000 + "(1)"
+        code, out, err = run(capsys, "solve", block, "--format", "json", "--approx", "30")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert len(payload["surd"]["a"]) > 9000
+        assert payload["label"] == [1]
+        assert payload["disc_poly"] == "5"
+        assert payload["approx"] == "0.109772228646443655001137140881"  # (sqrt(85) - 9)/2
+        code, out, err = run(capsys, "solve", block)
+        assert code == 0, err
+        surd = out.splitlines()[0]
+        code, out, err = run(capsys, "expand", surd, "--periodic")
+        assert code == 0, err
+        assert out.strip() == block
+        code, out, err = run(capsys, "tau", surd, "--format", "json")
+        assert code == 0, err
+        assert len(json.loads(out)["surd"]["c"]) > 9000
+
     def test_round_trip_through_expand(self, capsys):
         # all blocks of length <= 2 plus a deterministic stride of the longer
         # ones; the exhaustive library-level sweep lives in the acceptance suite
@@ -109,6 +137,26 @@ class TestEquiv:
         code, out, _ = run(capsys, "equiv", GOLDEN, "(3-1*sqrt(5))/2")
         assert code == 0
         assert out.splitlines()[0] == "equivalent"
+
+    def test_exact_output(self, capsys):
+        code, out, _ = run(capsys, "equiv", GOLDEN, "(-1+1*sqrt(3))/1")
+        assert (code, out) == (1, "inequivalent\nlabel_left: (1)\nlabel_right: (1,2)\n")
+        code, out, _ = run(capsys, "equiv", GOLDEN, "(3-1*sqrt(5))/2", "--format", "json")
+        assert code == 0
+        assert out == '{"equivalent": true, "label_left": [1], "label_right": [1]}\n'
+
+    def test_expands_each_side_once(self, capsys, monkeypatch):
+        calls = []
+        expand = equivalence.cfe_periodic
+        monkeypatch.setattr(equivalence, "cfe_periodic", lambda x: calls.append(x) or expand(x))
+        code, _, _ = run(capsys, "equiv", GOLDEN, "(3-1*sqrt(5))/2")
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_domain_exit(self, capsys):
+        code, _, err = run(capsys, "equiv", GOLDEN, "(1+1*sqrt(5))/2")
+        assert code == 3
+        assert "domain error" in err
 
     def test_inequivalent(self, capsys):
         code, out, _ = run(capsys, "equiv", GOLDEN, "(-1+1*sqrt(2))/1")

@@ -15,8 +15,10 @@ from cuntzfrac import (
     modular_equivalent,
     normalize,
     omega_class_label,
+    poly_discriminant,
     tail_equivalent,
 )
+from cuntzfrac import equivalence
 from cuntzfrac.surds import DomainError
 
 
@@ -55,6 +57,28 @@ class TestModularEquivalent:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             modular_equivalent(normalize(1, 1, 2, 5), normalize(-1, 1, 2, 5))
+
+    def test_discriminants_decide_without_expanding(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("expanded although the discriminants differ")
+
+        monkeypatch.setattr(equivalence, "cfe_periodic", refuse)
+        assert not modular_equivalent(normalize(-1, 1, 2, 5), normalize(-1, 1, 1, 2))
+        # sqrt(5) - 2: same field, discriminant 20 against 5
+        assert not modular_equivalent(normalize(-1, 1, 2, 5), normalize(-2, 1, 1, 5))
+
+    def test_equal_discriminants_still_compare_blocks(self):
+        # Q(sqrt(10)) has two classes of discriminant 40
+        x, y = normalize(-3, 1, 1, 10), normalize(-2, 1, 2, 10)
+        assert poly_discriminant(x) == poly_discriminant(y) == 40
+        assert not modular_equivalent(x, y)
+
+    def test_shortcut_agrees_with_labels(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            x = random_surd(rng, max_d=30)
+            y = random_surd(rng, max_d=30) if rng.random() < 0.5 else apply_and_reduce(random_unimodular(rng), x)
+            assert modular_equivalent(x, y) == (omega_class_label(x) == omega_class_label(y))
 
 
 class TestApplyAndReduce:

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -247,3 +249,43 @@ class TestApproxDecimal:
 
     def test_zero_digits(self):
         assert approx_decimal(normalize(0, 1, 1, 2), 0) == "1"
+
+
+# coefficients of 10^4 digits, beyond CPython's default int <-> str limit
+BIG_A = "1" + "0" * 9_999 + "7"  # 10**10_000 + 7
+BIG_C = "2" + "0" * 9_999 + "1"  # 2 * 10**10_000 + 1
+
+
+class TestHugeCoefficients:
+    def _big(self):
+        return normalize(10**10_000 + 7, 3, 2 * 10**10_000 + 1, 5)
+
+    def test_parse_and_format(self):
+        text = f"({BIG_A}+3*sqrt(5))/{BIG_C}"
+        assert format_surd(self._big()) == str(self._big()) == text
+        assert parse_surd(text) == self._big()
+
+    def test_json(self):
+        obj = {"a": BIG_A, "b": "3", "c": BIG_C, "d": "5"}
+        assert surd_to_json(self._big()) == obj
+        assert surd_from_json(obj) == self._big()
+
+    def test_approx(self):
+        # the value exceeds 1/2 by about 6.6 * 10**-10_000
+        assert approx_decimal(self._big(), 40) == "0.5" + "0" * 39
+        assert approx_decimal(self._big(), 10_001) == "0.5" + "0" * 9_998 + "66"
+
+    def test_approx_many_digits(self):
+        with localcontext() as ctx:
+            ctx.prec = 5_010
+            want = str((Decimal(5).sqrt() - 1) / 2)[: 2 + 5_000]
+        assert approx_decimal(normalize(-1, 1, 2, 5), 5_000) == want
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
+    def test_limit_is_restored(self):
+        before = sys.get_int_max_str_digits()
+        format_surd(self._big())
+        approx_decimal(self._big(), 5_000)
+        with pytest.raises(ParseError):
+            parse_surd(f"({BIG_A}+3*sqrt(5)/{BIG_C}")
+        assert sys.get_int_max_str_digits() == before
