@@ -89,12 +89,17 @@ class PQState:
 
 
 def to_pq_form(x: QuadraticSurd) -> PQState:
-    """Rewrite x as (P + sqrt(D))/Q with Q | D - P*P, scaling when needed."""
-    if x.b > 0:
-        p, q = x.a, x.c
+    """Rewrite x as (P + sqrt(D))/Q with Q | D - P*P, scaling when needed.
+
+    D is b*b*d from the stored coefficients, so no factoring happens; when d
+    kept square factors the state is a common multiple of the one the
+    canonical form gives, with the same complete quotients.
+    """
+    if x._b > 0:
+        p, q = x._a, x._c
     else:
-        p, q = -x.a, -x.c
-    d = x.b * x.b * x.d
+        p, q = -x._a, -x._c
+    d = x._b * x._b * x._d
     if (d - p * p) % q:
         p, d, q = p * abs(q), d * q * q, q * abs(q)
     return PQState(p, q, d)

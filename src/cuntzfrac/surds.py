@@ -1,9 +1,14 @@
 """Exact arithmetic on quadratic irrationals (a + b*sqrt(d))/c with integer fields.
 
-Values are kept canonical (c > 0, gcd(a, b, c) = 1, d squarefree) so that
-structural equality coincides with equality of real numbers.  Everything is
-big-integer exact; the only square roots ever taken are integer square roots
-used to bracket floors.  All values are immutable and all operations pure.
+A value keeps the coefficients that gcds alone reduce (c > 0,
+gcd(a, b, c) = 1); its radicand may still carry square factors.  Equality and
+hashing go through the primitive integral minimal polynomial and the sign of
+the square root's coefficient, so they coincide with equality of real numbers
+without any factoring.  The canonical form with squarefree d, which the text
+and JSON forms print, is computed on first use and kept on the value.
+Everything is big-integer exact; the only square roots ever taken are integer
+square roots used to bracket floors.  All values are immutable and all
+operations pure.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 
@@ -45,7 +50,11 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-_SMALL_PRIMES = _sieve(1000)
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+# a cofactor free of primes below _TRIAL_LIMIT and smaller than this bound
+# has at most two prime factors, so it is p, p*p or p*q
+_CERTIFIED_BELOW = _TRIAL_LIMIT ** 3
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -94,7 +103,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r <<= 1
@@ -102,7 +111,7 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 
@@ -118,9 +127,14 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // f, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Split n >= 1 as s*s*f with f squarefree; returns (s, f)."""
+    """Split n >= 1 as s*s*f with f squarefree; returns (s, f).
+
+    Trial division by the primes below 1,000 comes first.  A cofactor below
+    1,000**3 is then certified by one integer square root; only larger
+    cofactors go to Miller-Rabin and Pollard-Brent.
+    """
     if n < 1:
         raise ValueError("squarefree_split needs n >= 1")
     s, f, m = 1, 1, n
@@ -139,7 +153,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
         r = math.isqrt(m)
         if r * r == m:
             s *= r
-        elif _is_probable_prime(m):
+        elif m < _CERTIFIED_BELOW or _is_probable_prime(m):
             f *= m
         else:
             exps: dict[int, int] = {}
@@ -154,18 +168,67 @@ def squarefree_split(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # value types
 
-@dataclass(frozen=True)
 class QuadraticSurd:
-    """The real number (a + b*sqrt(d))/c in canonical form.
+    """The real number (a + b*sqrt(d))/c.
 
-    Construct through :func:`normalize`; direct construction skips the
-    canonicalization that structural equality relies on.
+    Construct through :func:`normalize`, which reduces the coefficients by
+    gcds alone.  Equality and hashing compare the primitive minimal
+    polynomial and the root it picks, so equal numbers are equal values
+    whether or not d has square factors.  The fields ``a, b, c, d`` read the
+    canonical form (c > 0, gcd(a, b, c) = 1, d squarefree); the first read
+    factors d with :func:`squarefree_split` and the result is kept on the
+    value.  Arithmetic inside the package reads the stored coefficients
+    ``_a, _b, _c, _d`` and never factors.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("_a", "_b", "_c", "_d", "_canonical")
+    __match_args__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_d", d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QuadraticSurd, (self._a, self._b, self._c, self._d)
+
+    def _view(self) -> tuple[int, int, int, int]:
+        try:
+            return self._canonical
+        except AttributeError:
+            pass
+        s, f = squarefree_split(self._d)
+        view = (*_lowest_terms(self._a, self._b * s, self._c), f)
+        object.__setattr__(self, "_canonical", view)
+        return view
+
+    a = property(lambda self: self._view()[0])
+    b = property(lambda self: self._view()[1])
+    c = property(lambda self: self._view()[2])
+    d = property(lambda self: self._view()[3])
+
+    def _key(self) -> tuple[int, int, int, bool]:
+        # the two roots of one polynomial differ in the sign of sqrt(d)
+        return (*_min_poly(self), (self._b > 0) == (self._c > 0))
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadraticSurd):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        a, b, c, d = self._view()
+        return f"QuadraticSurd(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
 
     def __str__(self) -> str:
         return format_surd(self)
@@ -209,21 +272,27 @@ class UnimodularMatrix:
 # ---------------------------------------------------------------------------
 # construction and exact comparisons
 
-def _reduced(a: int, b: int, c: int, d: int) -> QuadraticSurd:
-    # d already squarefree >= 2 and b != 0
-    if c == 0:
-        raise ZeroDenominator("denominator is zero")
+def _lowest_terms(a: int, b: int, c: int) -> tuple[int, int, int]:
+    # c != 0
     if c < 0:
         a, b, c = -a, -b, -c
     g = math.gcd(a, b, c)
-    return QuadraticSurd(a // g, b // g, c // g, d)
+    return a // g, b // g, c // g
+
+
+def _reduced(a: int, b: int, c: int, d: int) -> QuadraticSurd:
+    # d >= 2 not a perfect square and b != 0
+    if c == 0:
+        raise ZeroDenominator("denominator is zero")
+    return QuadraticSurd(*_lowest_terms(a, b, c), d)
 
 
 def normalize(a: int, b: int, c: int, d: int) -> QuadraticSurd:
-    """Canonical surd equal to (a + b*sqrt(d))/c.
+    """Surd equal to (a + b*sqrt(d))/c with c > 0 and gcd(a, b, c) = 1.
 
-    Square factors of d migrate into b; the gcd is cancelled and c made
-    positive.  Raises NotIrrational when the value is in fact rational.
+    Only gcds are taken: d is kept as given, square factors included, and
+    factored only if the canonical fields are read.  Raises NotIrrational
+    when the value is in fact rational, which an integer square root decides.
     """
     if c == 0:
         raise ZeroDenominator("denominator is zero")
@@ -231,11 +300,10 @@ def normalize(a: int, b: int, c: int, d: int) -> QuadraticSurd:
         raise ValueError("radicand must be positive")
     if d == 0 or b == 0:
         raise NotIrrational(f"({a} + {b}*sqrt({d}))/{c} is rational")
-    s, f = squarefree_split(d)
-    b *= s
-    if f == 1:
-        raise NotIrrational(f"sqrt({d}) = {s} is an integer")
-    return _reduced(a, b, c, f)
+    r = math.isqrt(d)
+    if r * r == d:
+        raise NotIrrational(f"sqrt({d}) = {r} is an integer")
+    return _reduced(a, b, c, d)
 
 
 def _sign_linear(a: int, b: int, d: int) -> int:
@@ -250,12 +318,12 @@ def _sign_linear(a: int, b: int, d: int) -> int:
 
 
 def sign_of(x: QuadraticSurd) -> int:
-    return _sign_linear(x.a, x.b, x.d)
+    return _sign_linear(x._a, x._b, x._d)
 
 
 def cmp_int(x: QuadraticSurd, k: int) -> int:
     """Sign of x - k, exactly."""
-    return _sign_linear(x.a - k * x.c, x.b, x.d)
+    return _sign_linear(x._a - k * x._c, x._b, x._d)
 
 
 def in_omega(x: QuadraticSurd) -> bool:
@@ -264,8 +332,8 @@ def in_omega(x: QuadraticSurd) -> bool:
 
 
 def shift_by_int(x: QuadraticSurd, k: int) -> QuadraticSurd:
-    """x + k; integer shifts preserve canonical form."""
-    return QuadraticSurd(x.a + k * x.c, x.b, x.c, x.d)
+    """x + k; integer shifts preserve c > 0 and gcd(a, b, c) = 1."""
+    return QuadraticSurd(x._a + k * x._c, x._b, x._c, x._d)
 
 
 def _floor_ratio(a: int, b: int, c: int, d: int) -> int:
@@ -281,7 +349,7 @@ def _floor_ratio(a: int, b: int, c: int, d: int) -> int:
 
 def floor_of(x: QuadraticSurd) -> int:
     """Exact floor via integer square-root bracketing; no floating point."""
-    return _floor_ratio(x.a, x.b, x.c, x.d)
+    return _floor_ratio(x._a, x._b, x._c, x._d)
 
 
 # ---------------------------------------------------------------------------
@@ -291,32 +359,40 @@ def gauss_tau(x: QuadraticSurd) -> QuadraticSurd:
     """Gauss map 1/x - floor(1/x), exactly; defined on (0, 1)."""
     if not in_omega(x):
         raise DomainError(f"{x} is not inside (0, 1)")
-    inv = _reduced(x.c * x.a, -x.c * x.b, x.a * x.a - x.b * x.b * x.d, x.d)
+    a, b, c, d = x._a, x._b, x._c, x._d
+    inv = _reduced(c * a, -c * b, a * a - b * b * d, d)
     return shift_by_int(inv, -floor_of(inv))
 
 
 def mobius_apply(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:
     """Exact image (m11*x + m12)/(m21*x + m22); the radicand class is preserved."""
-    na, nb = m.m11 * x.a + m.m12 * x.c, m.m11 * x.b
-    da, db = m.m21 * x.a + m.m22 * x.c, m.m21 * x.b
-    denom = da * da - db * db * x.d
+    a, b, c, d = x._a, x._b, x._c, x._d
+    na, nb = m.m11 * a + m.m12 * c, m.m11 * b
+    da, db = m.m21 * a + m.m22 * c, m.m21 * b
+    denom = da * da - db * db * d
     if denom == 0:
         raise NotIrrational("image denominator vanished")
-    return _reduced(na * da - nb * db * x.d, nb * da - na * db, denom, x.d)
+    return _reduced(na * da - nb * db * d, nb * da - na * db, denom, d)
+
+
+def _min_poly(x: QuadraticSurd) -> tuple[int, int, int]:
+    # (A, B, C) of the primitive integral A*t^2 + B*t + C with root x, A > 0
+    a, b, c = x._a, x._b, x._c
+    qa, qb, qc = c * c, -2 * a * c, a * a - b * b * x._d
+    g = math.gcd(qa, qb, qc)
+    return qa // g, qb // g, qc // g
 
 
 def poly_discriminant(x: QuadraticSurd) -> int:
     """Discriminant b^2 - 4ac of the primitive integral minimal polynomial of x."""
-    qa = x.c * x.c
-    qb = -2 * x.a * x.c
-    qc = x.a * x.a - x.b * x.b * x.d
-    g = math.gcd(qa, qb, qc)
-    return (qb * qb - 4 * qa * qc) // (g * g)
+    qa, qb, qc = _min_poly(x)
+    return qb * qb - 4 * qa * qc
 
 
 def field_discriminant(x: QuadraticSurd) -> int:
     """Fundamental discriminant of the field Q(sqrt(d)): d if d = 1 mod 4, else 4d."""
-    return x.d if x.d % 4 == 1 else 4 * x.d
+    d = x.d
+    return d if d % 4 == 1 else 4 * d
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +425,8 @@ _SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/([+-]?\d+)$")
 
 @unlimited_digits
 def format_surd(x: QuadraticSurd) -> str:
-    return f"({x.a}{x.b:+d}*sqrt({x.d}))/{x.c}"
+    a, b, c, d = x._view()
+    return f"({a}{b:+d}*sqrt({d}))/{c}"
 
 
 @unlimited_digits
@@ -364,7 +441,8 @@ def parse_surd(text: str) -> QuadraticSurd:
 
 @unlimited_digits
 def surd_to_json(x: QuadraticSurd) -> dict[str, str]:
-    return {"a": str(x.a), "b": str(x.b), "c": str(x.c), "d": str(x.d)}
+    a, b, c, d = x._view()
+    return {"a": str(a), "b": str(b), "c": str(c), "d": str(d)}
 
 
 @unlimited_digits
@@ -386,7 +464,7 @@ def approx_decimal(x: QuadraticSurd, digits: int) -> str:
     if digits < 0:
         raise ValueError("digits must be >= 0")
     scale = 10 ** digits
-    k = _floor_ratio(x.a * scale, x.b, x.c, x.d * scale * scale)
+    k = _floor_ratio(x._a * scale, x._b, x._c, x._d * scale * scale)
     if digits == 0:
         return str(k)
     sign = "-" if k < 0 else ""

@@ -1,8 +1,12 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cuntzfrac
 from cuntzfrac import equivalence
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
@@ -50,6 +54,20 @@ class TestExpand:
         code, _, err = run(capsys, "expand", GOLDEN, "--terms", "0")
         assert code == 2
         assert "parse error" in err
+
+    def test_two_prime_radicand_does_not_factor(self):
+        # sqrt(d) - floor(sqrt(d)) with d the product of two 20-digit primes:
+        # expanding needs no factoring, so this returns at once instead of
+        # running Pollard-Brent for hours; a child process bounds the wait
+        d = 300000000000000001940000000000000002091
+        surd = f"(-17320508075688772991+1*sqrt({d}))/1"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuntzfrac.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "cuntzfrac.cli", "expand", surd, "--terms", "8"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "3,1,1,1,1,8,1,1\n"
 
 
 class TestSolve:

@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError
 from decimal import Decimal, localcontext
 
 import pytest
@@ -15,20 +18,28 @@ from cuntzfrac import (
     UnimodularMatrix,
     ZeroDenominator,
     approx_decimal,
+    cfe_expand,
+    cfe_periodic,
+    classify_surd,
     cmp_int,
     field_discriminant,
     floor_of,
     format_surd,
     gauss_tau,
     in_omega,
+    intertwiner_check,
     mobius_apply,
+    modular_equivalent,
     normalize,
+    omega_class_label,
     parse_surd,
     poly_discriminant,
     squarefree_split,
+    surd_from_cfe,
     surd_from_json,
     surd_to_json,
 )
+from cuntzfrac import surds
 from cuntzfrac.surds import DomainError
 
 
@@ -89,6 +100,137 @@ class TestSquarefreeSplit:
         assert s * s * f == n
         for p in range(2, 40):
             assert f % (p * p) != 0
+
+    def test_every_n_below_oracle_limit(self):
+        bad = [n for n in range(1, ORACLE_LIMIT) if squarefree_split(n) != _oracle_split(n)]
+        assert bad == []
+
+    def test_two_large_prime_factors(self):
+        # every prime beyond trial division: products below 1000**3 take the
+        # square-root certificate, larger ones Miller-Rabin and Pollard-Brent
+        rng = random.Random(31607)
+        for _ in range(300):
+            p, q = rng.sample(MID_PRIMES, 2)
+            r = rng.choice(BIG_PRIMES)
+            k = rng.choice((1, 2, 12, 360))
+            ks, kf = _oracle_split(k)
+            for n, s, f in ((p * q, 1, p * q), (p * p, p, 1), (p * p * q, p, q),
+                            (p * r, 1, p * r), (r * r * q, r, q), (p * q * r, 1, p * q * r)):
+                assert squarefree_split(k * n) == (ks * s, kf * f)
+
+    def test_certificate_needs_no_primality_test(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"{n} went past the certificate")
+
+        monkeypatch.setattr(surds, "_is_probable_prime", refuse)
+        monkeypatch.setattr(surds, "_factor_into", refuse)
+        split = squarefree_split.__wrapped__  # past the cache, which may hold these
+        rng = random.Random(1009)
+        for _ in range(300):
+            p, q = rng.sample(MID_PRIMES, 2)
+            if p * q < 1000 ** 3:
+                assert split(8 * p * q) == (2, 2 * p * q)
+            assert split(3 * p * p) == (p, 3)
+            assert split(p) == (1, p)
+
+    def test_cache_is_bounded(self):
+        assert squarefree_split.cache_info().maxsize is not None
+
+
+ORACLE_LIMIT = 2 * 10**5
+
+
+def _least_prime_factors(limit: int) -> list[int]:
+    lpf = list(range(limit))
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if lpf[i] == i:
+            for j in range(i * i, limit, i):
+                if lpf[j] == j:
+                    lpf[j] = i
+    return lpf
+
+
+_LPF = _least_prime_factors(ORACLE_LIMIT)
+# primes past trial division whose squares stay below 1000**3
+MID_PRIMES = [p for p in range(1009, 31608) if _LPF[p] == p]
+BIG_PRIMES = [p for p in range(10**5, ORACLE_LIMIT) if _LPF[p] == p]
+
+
+def _oracle_split(n: int) -> tuple[int, int]:
+    # (s, f) with n = s*s*f, f squarefree, from a least-prime-factor table
+    s = f = 1
+    while n > 1:
+        p, e = _LPF[n], 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        f *= p ** (e % 2)
+    return s, f
+
+
+SQUAREFREE = [f for f in range(2, 400) if _oracle_split(f)[0] == 1]
+
+
+class TestLazyCanonicalForm:
+    def test_square_factors_are_pulled_out_only_when_read(self):
+        rng = random.Random(4096)
+        for _ in range(400):
+            f, s = rng.choice(SQUAREFREE), rng.randint(2, 60)
+            a, b = rng.randint(-500, 500), rng.choice([-1, 1]) * rng.randint(1, 50)
+            c = rng.choice([-1, 1]) * rng.randint(1, 500)
+            x = normalize(a, b, c, s * s * f)
+            y = normalize(a, b * s, c, f)
+            assert x == y and hash(x) == hash(y)
+            assert normalize(a, -b, c, s * s * f) != x  # the conjugate
+            # the canonical form, as normalize built it when it factored eagerly
+            sign = 1 if c > 0 else -1
+            g = math.gcd(a, b * s, c)
+            ca, cb, cc = sign * a // g, sign * b * s // g, abs(c) // g
+            assert (x.a, x.b, x.c, x.d) == (ca, cb, cc, f)
+            assert x == QuadraticSurd(ca, cb, cc, f) and hash(x) == hash(QuadraticSurd(ca, cb, cc, f))
+            assert str(x) == format_surd(x) == f"({ca}{cb:+d}*sqrt({f}))/{cc}"
+            assert repr(x) == f"QuadraticSurd(a={ca}, b={cb}, c={cc}, d={f})"
+            assert surd_to_json(x) == {"a": str(ca), "b": str(cb), "c": str(cc), "d": str(f)}
+
+    def test_immutable_and_copyable(self):
+        x = normalize(0, 1, 1, 8)
+        with pytest.raises(FrozenInstanceError):
+            x.a = 1
+        with pytest.raises(FrozenInstanceError):
+            del x.d
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == x and (y.a, y.b, y.c, y.d) == (0, 2, 1, 2)
+
+
+# the product of two 20-digit primes: factoring it takes hours
+TWO_PRIMES = 300000000000000001940000000000000002091
+
+
+class TestNoFactoring:
+    def test_core_never_factors(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(surds, "squarefree_split", refuse)
+        r = math.isqrt(TWO_PRIMES)
+        big = parse_surd(f"(-{r}+1*sqrt({TWO_PRIMES}))/1")
+        x = parse_surd("(-3+1*sqrt(20))/2")  # (-3+2*sqrt(5))/2 once factored
+        assert x == normalize(-3, 2, 2, 5) and hash(x) == hash(normalize(-3, 2, 2, 5))
+        assert x != normalize(-3, -2, 2, 5)
+        assert len({x, normalize(-6, 4, 4, 5), normalize(-3, 1, 2, 20)}) == 1
+        assert cfe_expand(big, 8) == (3, 1, 1, 1, 1, 8, 1, 1)
+        tau = gauss_tau(big)
+        assert cfe_expand(tau, 7) == (1, 1, 1, 1, 8, 1, 1)
+        assert approx_decimal(big, 30) == "0." + str(math.isqrt(TWO_PRIMES * 10**60) - r * 10**30).zfill(30)
+        assert not modular_equivalent(big, x)  # the period of big is far too long to expand
+        assert modular_equivalent(x, normalize(-3, 2, 2, 5))
+        assert intertwiner_check(big, 3, 8)
+        e = cfe_periodic(x)
+        assert e == cfe_periodic(normalize(-3, 2, 2, 5))
+        assert surd_from_cfe(e) == x
+        assert omega_class_label(x) == omega_class_label(gauss_tau(x))
+        assert classify_surd(x).word == omega_class_label(x)
 
 
 class TestFloor:
