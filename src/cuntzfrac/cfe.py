@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 from . import words
 from .surds import (
-    DomainError,
     ParseError,
     QuadraticSurd,
     UnimodularMatrix,
+    _require_omega,
     in_omega,
     mobius_apply,
     normalize,
@@ -123,8 +123,7 @@ def cfe_expand(x: QuadraticSurd, n: int) -> Word:
     """First n partial quotients of x in (0, 1)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if not in_omega(x):
-        raise DomainError(f"{x} is not inside (0, 1)")
+    _require_omega(x)
     p, q, q_prev, d = _reciprocal_state(x)
     sd = math.isqrt(d)
     out = []
@@ -148,8 +147,7 @@ def cfe_periodic(x: QuadraticSurd) -> PeriodicCFE:
     is the primitive period.  The block is canonical as it stands, and beside
     the quotients themselves the loop keeps O(1) state.
     """
-    if not in_omega(x):
-        raise DomainError(f"{x} is not inside (0, 1)")
+    _require_omega(x)
     p, q, q_prev, d = _reciprocal_state(x)
     sd = math.isqrt(d)
     quotients: list[int] = []

@@ -24,7 +24,7 @@ from .cfe import (
     minimal_period_normalize,
     sigma_shift,
 )
-from .surds import DomainError, QuadraticSurd, in_omega, mobius_apply
+from .surds import QuadraticSurd, _require_omega, mobius_apply
 
 Word = words.Word
 
@@ -118,8 +118,7 @@ def pj_equivalent(j: RepClass, k: RepClass) -> bool | None:
 
 def classify_surd(x: QuadraticSurd) -> Cycle:
     """Cycle class attached to a quadratic irrational through its repeating block."""
-    if not in_omega(x):
-        raise DomainError(f"{x} is not inside (0, 1)")
+    _require_omega(x)
     return Cycle(cfe_periodic(x).period)
 
 
@@ -490,7 +489,6 @@ def intertwiner_check(x: QuadraticSurd, i: int, n: int) -> bool:
     """
     if i < 1:
         raise ValueError("generator indices start at 1")
-    if not in_omega(x):
-        raise DomainError(f"{x} is not inside (0, 1)")
+    _require_omega(x)
     img = mobius_apply(cfe_step_matrix(i), x)
     return cfe_expand(img, n + 1) == (i,) + cfe_expand(x, n)

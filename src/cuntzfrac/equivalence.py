@@ -5,12 +5,11 @@ from __future__ import annotations
 from . import words
 from .cfe import PeriodicCFE, cfe_periodic
 from .surds import (
-    DomainError,
     NotIrrational,
     QuadraticSurd,
     UnimodularMatrix,
+    _require_omega,
     floor_of,
-    in_omega,
     mobius_apply,
     poly_discriminant,
     shift_by_int,
@@ -39,8 +38,7 @@ def modular_equivalent(x: QuadraticSurd, y: QuadraticSurd) -> bool:
     witness matrix is ever searched for.
     """
     for v in (x, y):
-        if not in_omega(v):
-            raise DomainError(f"{v} is not inside (0, 1)")
+        _require_omega(v)
     if poly_discriminant(x) != poly_discriminant(y):
         return False
     return tail_equivalent(cfe_periodic(x), cfe_periodic(y))
@@ -52,8 +50,7 @@ def apply_and_reduce(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:
     The reduction y - floor(y) is itself a modular map, so the result stays
     equivalent to x.
     """
-    if not in_omega(x):
-        raise DomainError(f"{x} is not inside (0, 1)")
+    _require_omega(x)
     try:
         y = mobius_apply(m, x)
     except NotIrrational as exc:
@@ -64,6 +61,5 @@ def apply_and_reduce(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:
 def omega_class_label(x: QuadraticSurd) -> words.Word:
     """Canonical label of the equivalence class of x: the least rotation of
     its repeating block.  Equal labels are equivalent to modular equivalence."""
-    if not in_omega(x):
-        raise DomainError(f"{x} is not inside (0, 1)")
+    _require_omega(x)
     return words.canonical_rotation(cfe_periodic(x).period)

@@ -13,7 +13,9 @@ operations pure.
 
 from __future__ import annotations
 
+import _thread  # a lock without importing threading, which costs start-up time
 import functools
+import itertools
 import math
 import random
 import re
@@ -40,6 +42,12 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # integer factoring, only ever used to pull square factors out of radicands
+#
+# The split needs the square part of n, not its primes.  After trial division
+# by the primes below 1,000, a cofactor m below 10**18 is settled by gcds with
+# products of the primes from 1,000 up to the cube root of m; what is left has
+# at most two prime factors and one integer square root tells them apart.
+# Only cofactors of 10**18 and above go to Miller-Rabin and Pollard-Brent.
 
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * limit
@@ -52,15 +60,61 @@ def _sieve(limit: int) -> list[int]:
 
 _TRIAL_LIMIT = 1000
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
-# a cofactor free of primes below _TRIAL_LIMIT and smaller than this bound
-# has at most two prime factors, so it is p, p*p or p*q
-_CERTIFIED_BELOW = _TRIAL_LIMIT ** 3
+# the primes below _TRIAL_LIMIT sieve exactly as far as _TABLE_END, and a
+# cofactor below _CERTIFIED_BELOW has its cube root below _TABLE_END
+_TABLE_END = _TRIAL_LIMIT ** 2
+_CERTIFIED_BELOW = _TABLE_END ** 3
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+class _PrimeRuns:
+    """Products of runs of consecutive primes in [_TRIAL_LIMIT, _TABLE_END).
+
+    ``runs`` holds (first prime, product of the run) pairs of 256 primes each,
+    the last run shorter.  The table is input-independent constant data that a
+    segmented sieve extends on demand, so nothing runs at import.
+    """
+
+    def __init__(self) -> None:
+        self.runs: list[tuple[int, int]] = []
+        self._more = self._sieve_runs()
+        self._lock = _thread.allocate_lock()
+
+    def covering(self, m: int) -> list[tuple[int, int]]:
+        """The runs, extended to hold every prime p below _TABLE_END with p**3 <= m."""
+        with self._lock:
+            runs = self.runs
+            while (runs[-1][0] if runs else _TRIAL_LIMIT) ** 3 <= m:
+                run = next(self._more, None)
+                if run is None:
+                    break
+                runs.append(run)
+            return runs
+
+    @staticmethod
+    def _sieve_runs():
+        run_len, segment = 256, 1 << 15
+        primes: list[int] = []
+        for lo in range(_TRIAL_LIMIT, _TABLE_END, segment):
+            hi = min(lo + segment, _TABLE_END)
+            flags = bytearray([1]) * (hi - lo)
+            for p in _SMALL_PRIMES:  # lo > p, so no multiple crossed off is p itself
+                start = -(-lo // p) * p
+                flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+            primes += itertools.compress(range(lo, hi), flags)
+            while len(primes) >= run_len:
+                yield primes[0], math.prod(primes[:run_len])
+                del primes[:run_len]
+        yield primes[0], math.prod(primes)
+
+
+_PRIME_RUNS = _PrimeRuns()
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_probable_prime(n: int) -> bool:
-    # deterministic for n < 3.3e24 with these bases
+    # deterministic below 3.3e24 with these 13 bases; without 41 the bound is
+    # 3.18e23, and 318665857834031151167461 = 399165290221 * 798330580441 passes
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -131,9 +185,14 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 def squarefree_split(n: int) -> tuple[int, int]:
     """Split n >= 1 as s*s*f with f squarefree; returns (s, f).
 
-    Trial division by the primes below 1,000 comes first.  A cofactor below
-    1,000**3 is then certified by one integer square root; only larger
-    cofactors go to Miller-Rabin and Pollard-Brent.
+    Trial division by the primes below 1,000 comes first.  A cofactor m below
+    10**18 is then split by gcds alone: h = gcd(m, product of the primes
+    p >= 1,000 with p**3 <= m) holds each prime of m up to its cube root once,
+    and gcds of h with what is left of m read off which primes have exponent
+    exactly 1, 2, ...  The rest has every prime factor above the cube root of
+    m, so it is 1, p, p*p or p*q, and one integer square root decides which.
+    No prime is ever found and no primality test runs.  Cofactors of 10**18
+    and above go to Miller-Rabin and Pollard-Brent.
     """
     if n < 1:
         raise ValueError("squarefree_split needs n >= 1")
@@ -149,19 +208,39 @@ def squarefree_split(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 f *= p
-    if m > 1:
-        r = math.isqrt(m)
-        if r * r == m:
-            s *= r
-        elif m < _CERTIFIED_BELOW or _is_probable_prime(m):
-            f *= m
-        else:
-            exps: dict[int, int] = {}
-            _factor_into(m, exps)
-            for p, e in exps.items():
-                s *= p ** (e // 2)
-                if e % 2:
-                    f *= p
+    if m < _CERTIFIED_BELOW:
+        acc = 1
+        for first, product in _PRIME_RUNS.covering(m):
+            if first ** 3 > m:
+                break
+            acc = acc * (product % m) % m
+        h = math.gcd(m, acc)
+        m //= h
+        k = 1
+        while h > 1:
+            # h is the product of the primes of exponent >= k in the cofactor,
+            # and m has had each of them divided out k times
+            deeper = math.gcd(m, h)
+            exact = h // deeper
+            s *= exact ** (k // 2)
+            if k % 2:
+                f *= exact
+            m //= deeper
+            h = deeper
+            k += 1
+    # a certified cofactor now has at most two prime factors
+    r = math.isqrt(m)
+    if r * r == m:
+        s *= r
+    elif m < _CERTIFIED_BELOW or _is_probable_prime(m):
+        f *= m
+    else:
+        exps: dict[int, int] = {}
+        _factor_into(m, exps)
+        for p, e in exps.items():
+            s *= p ** (e // 2)
+            if e % 2:
+                f *= p
     return s, f
 
 
@@ -331,6 +410,12 @@ def in_omega(x: QuadraticSurd) -> bool:
     return cmp_int(x, 0) > 0 and cmp_int(x, 1) < 0
 
 
+def _require_omega(x: QuadraticSurd) -> None:
+    # the message shows the stored coefficients, so raising it never factors
+    if not in_omega(x):
+        raise DomainError(f"{_surd_text(x._a, x._b, x._c, x._d)} is not inside (0, 1)")
+
+
 def shift_by_int(x: QuadraticSurd, k: int) -> QuadraticSurd:
     """x + k; integer shifts preserve c > 0 and gcd(a, b, c) = 1."""
     return QuadraticSurd(x._a + k * x._c, x._b, x._c, x._d)
@@ -357,8 +442,7 @@ def floor_of(x: QuadraticSurd) -> int:
 
 def gauss_tau(x: QuadraticSurd) -> QuadraticSurd:
     """Gauss map 1/x - floor(1/x), exactly; defined on (0, 1)."""
-    if not in_omega(x):
-        raise DomainError(f"{x} is not inside (0, 1)")
+    _require_omega(x)
     a, b, c, d = x._a, x._b, x._c, x._d
     inv = _reduced(c * a, -c * b, a * a - b * b * d, d)
     return shift_by_int(inv, -floor_of(inv))
@@ -424,9 +508,12 @@ _SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/([+-]?\d+)$")
 
 
 @unlimited_digits
-def format_surd(x: QuadraticSurd) -> str:
-    a, b, c, d = x._view()
+def _surd_text(a: int, b: int, c: int, d: int) -> str:
     return f"({a}{b:+d}*sqrt({d}))/{c}"
+
+
+def format_surd(x: QuadraticSurd) -> str:
+    return _surd_text(*x._view())
 
 
 @unlimited_digits

@@ -69,6 +69,19 @@ class TestExpand:
         assert done.returncode == 0
         assert done.stdout == "3,1,1,1,1,8,1,1\n"
 
+    def test_two_prime_radicand_domain_error_does_not_factor(self):
+        # the domain error message shows the value as given, so it exits 3 at
+        # once instead of factoring the radicand for hours
+        d = 300000000000000001940000000000000002091
+        surd = f"(1+1*sqrt({d}))/1"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuntzfrac.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "cuntzfrac.cli", "expand", surd, "--terms", "8"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 3
+        assert f"{surd} is not inside (0, 1)" in done.stderr
+
 
 class TestSolve:
     def test_golden(self, capsys):
@@ -207,6 +220,13 @@ class TestTau:
     def test_sqrt3(self, capsys):
         code, out, _ = run(capsys, "tau", "(-1+1*sqrt(3))/1")
         assert out.strip() == "(-1+1*sqrt(3))/2"
+
+    def test_radicand_with_a_pseudoprime_cofactor(self, capsys):
+        # d = p*p*q where p*q is a strong pseudoprime to every prime base below 41
+        d = 399165290221**2 * 798330580441
+        code, out, _ = run(capsys, "tau", f"(-356651580153298873+1*sqrt({d}))/1")
+        assert code == 0
+        assert out == "(-337898556993958631+399165290221*sqrt(798330580441))/347275068573628752\n"
 
 
 class TestVerifyExamples:

@@ -1,8 +1,14 @@
+import bisect
 import copy
+import itertools
 import math
+import os
 import pickle
 import random
+import re
+import subprocess
 import sys
+import threading
 from dataclasses import FrozenInstanceError
 from decimal import Decimal, localcontext
 
@@ -17,6 +23,7 @@ from cuntzfrac import (
     QuadraticSurd,
     UnimodularMatrix,
     ZeroDenominator,
+    apply_and_reduce,
     approx_decimal,
     cfe_expand,
     cfe_periodic,
@@ -137,6 +144,149 @@ class TestSquarefreeSplit:
         assert squarefree_split.cache_info().maxsize is not None
 
 
+def _primes_below(limit: int) -> list[int]:
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return [i for i in range(limit) if flags[i]]
+
+
+@pytest.fixture(scope="module")
+def primes_below_10_6():
+    return _primes_below(10**6)
+
+
+def _refuse_factoring(monkeypatch) -> None:
+    def refuse(n):
+        raise AssertionError(f"{n} went past the certificate")
+
+    for name in ("_is_probable_prime", "_factor_into", "_pollard_brent"):
+        monkeypatch.setattr(surds, name, refuse)
+
+
+class TestGcdCertificate:
+    """Cofactors below 10**18 are split by gcds with no primality test."""
+
+    def test_cofactor_shapes_against_construction(self, monkeypatch, primes_below_10_6):
+        primes = primes_below_10_6
+        past_trial = primes[bisect.bisect_left(primes, 1000):]
+
+        def is_prime(n):
+            # trial division by every prime below 10**6 decides n < 10**12
+            return all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes))
+
+        def next_prime(n, step):
+            while not is_prime(n):
+                n += step
+            return n
+
+        def pick(bound):
+            return rng.choice(past_trial[: bisect.bisect_left(past_trial, bound)])
+
+        rng = random.Random(10**18)
+        cases = []  # (cofactor, s, f) with every prime factor above 1,000
+        for _ in range(25):
+            p = pick(rng.choice((10**4, 10**5, 999_000)))
+            q = next_prime(p * p + 1, 1)  # p just below the cube root of p*q
+            r = next_prime(p * p - 1, -1)  # p just above the cube root of p*r
+            assert p**3 < p * q and p**3 > p * r
+            cases += [(p * q, 1, p * q), (p * r, 1, p * r), (p**3, p, p)]
+            p, q = pick(10**6), pick(10**6)
+            cases.append((p * p * q, p, q) if p != q else (p**3, p, p))
+            p, q = rng.sample(past_trial[: bisect.bisect_left(past_trial, 31623)], 2)
+            cases.append((p * p * q * q, p * q, 1))
+            p, q, r = rng.sample(past_trial, 3)
+            cases.append((p * q * r, 1, p * q * r))
+            quad = rng.sample(past_trial[: bisect.bisect_left(past_trial, 31623)], 4)
+            cases.append((math.prod(quad), 1, math.prod(quad)))
+        _refuse_factoring(monkeypatch)
+        split = squarefree_split.__wrapped__  # past the cache, which may hold these
+        for n, s, f in cases:
+            assert 10**9 <= n < 10**18
+            for k in (1, 2, 12, 360):
+                ks, kf = _oracle_split(k)
+                assert split(k * n) == (ks * s, kf * f)
+
+    def test_boundary_of_the_certificate(self, monkeypatch):
+        assert surds._CERTIFIED_BELOW == 10**18
+        small = math.prod(p for p in range(2, 1000) if _LPF[p] == p)
+        below = next(m for m in range(10**18 - 1, 0, -1) if math.gcd(m, small) == 1)
+        above = next(m for m in itertools.count(10**18) if math.gcd(m, small) == 1)
+        # the Miller-Rabin and Pollard-Brent path is the oracle for `below`
+        exps: dict[int, int] = {}
+        surds._factor_into(below, exps)
+        expect = (math.prod(p ** (e // 2) for p, e in exps.items()),
+                  math.prod(p for p, e in exps.items() if e % 2))
+        _refuse_factoring(monkeypatch)
+        split = squarefree_split.__wrapped__
+        assert split(below) == expect
+        assert split(10**18 - 1) == (9, (10**18 - 1) // 81)  # 3**4*7*11*13*19*37*52579*333667
+        assert split(10**18) == (10**9, 1)
+        # the last table prime, alone and cubed, sits right below the bound
+        assert split(999_983**3) == (999_983, 999_983)
+        with pytest.raises(AssertionError, match="went past the certificate"):
+            split(above)
+
+    def test_table_against_independent_sieve(self, primes_below_10_6):
+        table = surds._PrimeRuns()
+        assert table.covering(10**9 - 1) == []  # 1000**3 needs no prime past trial division
+        assert 0 < len(table.covering(1009**3)) < 306  # grown only as far as needed
+        runs = table.covering(10**18 - 1)
+        expected = primes_below_10_6[bisect.bisect_left(primes_below_10_6, 1000):]
+        assert len(expected) == 78_330
+        assert len(runs) == 306
+        firsts = [first for first, _ in runs]
+        assert all(a < b for a, b in zip(firsts, firsts[1:]))
+        for i, (first, product) in enumerate(runs):
+            run = expected[256 * i : 256 * (i + 1)]
+            assert first == run[0]
+            assert product == math.prod(run)
+
+    def test_table_grows_once_under_threads(self):
+        table = surds._PrimeRuns()
+        bounds = [10**9 + 10**k for k in range(10, 18)] * 2
+
+        def grow(ms):
+            for m in ms:
+                table.covering(m)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=grow, args=(bounds[i::4],)) for i in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+        firsts = [first for first, _ in table.runs]
+        assert firsts == sorted(set(firsts))
+        assert table.runs == surds._PrimeRuns().covering(max(bounds))
+
+    def test_nothing_is_built_at_import(self):
+        code = "import cuntzfrac.surds as s; assert s._PRIME_RUNS.runs == []"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surds.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+
+
+class TestMillerRabin:
+    # the least strong pseudoprime to all prime bases up to 37
+    P, Q = 399165290221, 798330580441
+
+    def test_pseudoprime_to_bases_below_41_is_composite(self):
+        assert self.P * self.Q == 318665857834031151167461
+        assert not surds._is_probable_prime(self.P * self.Q)
+        assert surds._is_probable_prime(self.P) and surds._is_probable_prime(self.Q)
+
+    def test_square_times_prime_splits(self):
+        assert squarefree_split.__wrapped__(self.P * self.P * self.Q) == (self.P, self.Q)
+
+
 ORACLE_LIMIT = 2 * 10**5
 
 
@@ -231,6 +381,39 @@ class TestNoFactoring:
         assert surd_from_cfe(e) == x
         assert omega_class_label(x) == omega_class_label(gauss_tau(x))
         assert classify_surd(x).word == omega_class_label(x)
+
+
+class TestDomainErrorMessage:
+    # every check of the open unit interval shows the value as stored, so the
+    # error path never factors the radicand
+    CHECKS = {
+        "gauss_tau": gauss_tau,
+        "cfe_expand": lambda x: cfe_expand(x, 3),
+        "cfe_periodic": cfe_periodic,
+        "classify_surd": classify_surd,
+        "intertwiner_check": lambda x: intertwiner_check(x, 1, 3),
+        "modular_equivalent": lambda x: modular_equivalent(normalize(-1, 1, 2, 5), x),
+        "apply_and_reduce": lambda x: apply_and_reduce(UnimodularMatrix.identity(), x),
+        "omega_class_label": omega_class_label,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_message_needs_no_factoring(self, name, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(surds, "squarefree_split", refuse)
+        big = f"(1+1*sqrt({TWO_PRIMES}))/1"
+        with pytest.raises(DomainError, match=re.escape(f"{big} is not inside (0, 1)")):
+            self.CHECKS[name](parse_surd(big))
+        # square factors stay in the message as the value was given
+        with pytest.raises(DomainError, match=re.escape("(3+1*sqrt(8))/1 is not inside (0, 1)")):
+            self.CHECKS[name](parse_surd("(3+1*sqrt(8))/1"))
+
+    def test_squarefree_radicand_prints_canonical_form(self):
+        x = parse_surd("(6+4*sqrt(5))/2")
+        with pytest.raises(DomainError, match=re.escape(f"{format_surd(x)} is not inside (0, 1)")):
+            gauss_tau(x)
 
 
 class TestFloor:
