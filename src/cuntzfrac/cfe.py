@@ -19,6 +19,7 @@ from .surds import (
     ParseError,
     QuadraticSurd,
     UnimodularMatrix,
+    _json_int,
     _require_omega,
     in_omega,
     mobius_apply,
@@ -295,8 +296,8 @@ def block_to_json(e: PeriodicCFE) -> dict[str, list[int]]:
 @unlimited_digits
 def block_from_json(obj: dict) -> PeriodicCFE:
     try:
-        initial = tuple(int(n) for n in obj["initial"])
-        period = tuple(int(n) for n in obj["period"])
+        initial = tuple(_json_int(n) for n in obj["initial"])
+        period = tuple(_json_int(n) for n in obj["period"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"not a block object: {obj!r}") from exc
     if any(n < 1 for n in initial + period):

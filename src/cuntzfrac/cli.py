@@ -152,38 +152,27 @@ def cmd_verify_examples(args) -> int:
     n2 = _verify_family(rows, failures)
     lines.append(f"two-letter blocks, j,k<=10: {n2}/{len(rows)} pass")
 
-    rows = []
-    for tup in itertools.product(range(1, 6), repeat=3):
-        if not is_nonperiodic(tup):
-            continue
-        x, _ = families.triple_block_surd(*tup)
-        got = classify_surd(x)
-        want = Cycle(tup)
-        if got != want:
-            # the expansion itself is authoritative when the closed form drifts
-            oracle = classify_surd(surd_from_cfe(PeriodicCFE((), tup)))
-            if oracle == want:
-                notes.append(f"triple {tup}: closed form gave {got}, inverse construction confirms {want}")
-                got = oracle
-        rows.append((f"triple {tup}", got, want))
-    n3 = _verify_family(rows, failures)
-    lines.append(f"three-letter blocks, entries<=5: {n3}/{len(rows)} pass")
-
-    rows = []
-    for tup in itertools.product(range(1, 6), repeat=4):
-        if not is_nonperiodic(tup):
-            continue
-        x, _ = families.quad_block_surd(*tup)
-        got = classify_surd(x)
-        want = Cycle(tup)
-        if got != want:
-            oracle = classify_surd(surd_from_cfe(PeriodicCFE((), tup)))
-            if oracle == want:
-                notes.append(f"quad {tup}: closed form gave {got}, inverse construction confirms {want}")
-                got = oracle
-        rows.append((f"quad {tup}", got, want))
-    n4 = _verify_family(rows, failures)
-    lines.append(f"four-letter blocks, entries<=5: {n4}/{len(rows)} pass")
+    passes = [n1, n2]
+    for name, arity, closed_form in (
+        ("triple", 3, families.triple_block_surd),
+        ("quad", 4, families.quad_block_surd),
+    ):
+        rows = []
+        for tup in itertools.product(range(1, 6), repeat=arity):
+            if not is_nonperiodic(tup):
+                continue
+            got = classify_surd(closed_form(*tup)[0])
+            want = Cycle(tup)
+            if got != want:
+                # the expansion itself is authoritative when the closed form drifts
+                oracle = classify_surd(surd_from_cfe(PeriodicCFE((), tup)))
+                if oracle == want:
+                    notes.append(f"{name} {tup}: closed form gave {got}, inverse construction confirms {want}")
+                    got = oracle
+            rows.append((f"{name} {tup}", got, want))
+        passes.append(_verify_family(rows, failures))
+        letters = "three" if arity == 3 else "four"
+        lines.append(f"{letters}-letter blocks, entries<=5: {passes[-1]}/{len(rows)} pass")
 
     x123, d123 = families.triple_block_surd(1, 2, 3)
     lines.append(
@@ -193,7 +182,7 @@ def cmd_verify_examples(args) -> int:
     lines.extend(notes)
 
     payload = {
-        "passes": [n1, n2, n3, n4],
+        "passes": passes,
         "radicand_123": d123,
         "field_discriminant_123": field_discriminant(x123),
         "notes": notes,

@@ -9,9 +9,7 @@ common left inverse, and everything stays exact and finite.
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import words
@@ -55,12 +53,18 @@ def is_nonperiodic(j: Word) -> bool:
     return words.is_primitive(tuple(j))
 
 
+def _primitive(j: Word) -> Word:
+    j = tuple(j)
+    if not j:
+        raise EmptyWord("word must be nonempty")
+    if not words.is_primitive(j):
+        raise NotPrimitive(f"{j} is a proper power")
+    return j
+
+
 def canonical_cycle(j: Word) -> Word:
     """Lexicographically least rotation of a primitive word."""
-    j = tuple(j)
-    if not is_nonperiodic(j):
-        raise NotPrimitive(f"{j} is a proper power")
-    return words.canonical_rotation(j)
+    return words.canonical_rotation(_primitive(j))
 
 
 @dataclass(frozen=True)
@@ -118,12 +122,7 @@ def pj_equivalent(j: RepClass, k: RepClass) -> bool | None:
 
 def classify_surd(x: QuadraticSurd) -> Cycle:
     """Cycle class attached to a quadratic irrational through its repeating block."""
-    _require_omega(x)
     return Cycle(cfe_periodic(x).period)
-
-
-def format_repclass(rc: RepClass) -> str:
-    return str(rc)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,7 @@ class CheckEntry:
     check: str
     instance: str
     verdict: str
-    residual: float | None = None
+    residual: int | None = None
 
 
 def report_to_json(entries) -> list[dict]:
@@ -372,11 +371,7 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     (repeated `depth` times for good measure), and the labels reached by
     prepending the suffixes of j must be pairwise distinct basis labels.
     """
-    j = tuple(j)
-    if not j:
-        raise EmptyWord("word must be nonempty")
-    if not words.is_primitive(j):
-        raise NotPrimitive(f"{j} is a proper power")
+    j = _primitive(j)
     name = ",".join(map(str, j))
     v = PeriodicCFE((), j)
     entries = []
@@ -410,74 +405,51 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class CycleSpaceVector:
-    """Coefficient vector over the n cyclic basis vectors above a fixed vector."""
-
-    coeffs: tuple[complex, ...]
-
-    def shifted(self) -> "CycleSpaceVector":
-        # the generator word sends basis vector m to m+1 (mod n)
-        c = self.coeffs
-        return CycleSpaceVector((c[-1],) + c[:-1])
-
-    def dot(self, other: "CycleSpaceVector") -> complex:
-        return sum(a.conjugate() * b for a, b in zip(self.coeffs, other.coeffs))
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.coeffs))
-
-
-def cycle_dft_split(j0: Word, n: int, tol: float = 1e-9) -> list[CheckEntry]:
+def cycle_dft_split(j0: Word, n: int) -> list[CheckEntry]:
     """Split the n-fold cycle over a primitive word into eigenvectors.
 
     In the n-dimensional model where the word acts as the cyclic shift, the
     discrete Fourier vectors w_r = sum_m zeta^(r m) (shift^m v) must be
-    pairwise orthogonal with shift eigenvalue zeta^(-r).  Nonzero residuals
-    beyond `tol` are reported as failures; the final entry records that the
-    n-fold power word is reducible (n >= 2 splits the space).
+    pairwise orthogonal with shift eigenvalue zeta^(-r).  Each zeta^e is
+    stored as its exponent e mod n, so the checks are exact; a residual counts
+    wrong coefficients and any nonzero one fails.  The final entry records
+    that the n-fold power word is reducible (n >= 2 splits the space).
     """
-    j0 = tuple(j0)
-    if not j0:
-        raise EmptyWord("word must be nonempty")
-    if not words.is_primitive(j0):
-        raise NotPrimitive(f"{j0} is a proper power")
+    j0 = _primitive(j0)
     if n < 2:
         raise BadMultiplicity("need multiplicity n >= 2")
     name = ",".join(map(str, j0))
-    zeta = cmath.exp(2j * math.pi / n)
-    vecs = [
-        CycleSpaceVector(tuple(zeta ** (r * m) for m in range(n))) for r in range(n)
-    ]
+    vecs = [[r * m % n for m in range(n)] for r in range(n)]
     entries = []
     for r in range(n):
         for s in range(r + 1, n):
-            resid = abs(vecs[r].dot(vecs[s]))
+            # <w_r, w_s> = C(zeta), C[e] counting the terms conj(zeta^a) zeta^b = zeta^e;
+            # (x^(s-r) - 1) C(x) = 0 mod x^n - 1 and zeta^(s-r) != 1 prove C(zeta) = 0
+            counts = [0] * n
+            for a, b in zip(vecs[r], vecs[s]):
+                counts[(b - a) % n] += 1
+            resid = sum(counts[(e - s + r) % n] != counts[e] for e in range(n))
             entries.append(
                 CheckEntry(
                     "cycle-orthogonality",
                     f"J0=({name}),n={n},r={r},s={s}",
-                    "pass" if resid <= tol else "fail",
+                    "pass" if resid == 0 else "fail",
                     resid,
                 )
             )
     for r in range(n):
-        shifted = vecs[r].shifted()
-        lam = zeta ** (-r)
-        resid = math.sqrt(
-            sum(abs(a - lam * b) ** 2 for a, b in zip(shifted.coeffs, vecs[r].coeffs))
-        )
+        # the generator word sends basis vector m to m+1 (mod n)
+        shifted = vecs[r][-1:] + vecs[r][:-1]
+        resid = sum(a != (b - r) % n for a, b in zip(shifted, vecs[r]))
         entries.append(
             CheckEntry(
                 "cycle-eigenvalue",
                 f"J0=({name}),n={n},r={r}",
-                "pass" if resid <= tol else "fail",
+                "pass" if resid == 0 else "fail",
                 resid,
             )
         )
-    entries.append(
-        CheckEntry("cycle-split-verdict", f"J=({name})^{n},tol={tol:g}", "reducible", None)
-    )
+    entries.append(CheckEntry("cycle-split-verdict", f"J=({name})^{n}", "reducible", None))
     return entries
 
 

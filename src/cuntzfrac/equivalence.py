@@ -61,5 +61,4 @@ def apply_and_reduce(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:
 def omega_class_label(x: QuadraticSurd) -> words.Word:
     """Canonical label of the equivalence class of x: the least rotation of
     its repeating block.  Equal labels are equivalent to modular equivalence."""
-    _require_omega(x)
     return words.canonical_rotation(cfe_periodic(x).period)

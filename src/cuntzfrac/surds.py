@@ -532,10 +532,17 @@ def surd_to_json(x: QuadraticSurd) -> dict[str, str]:
     return {"a": str(a), "b": str(b), "c": str(c), "d": str(d)}
 
 
+def _json_int(v) -> int:
+    # int() would truncate a float and read a bool as 0 or 1
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ParseError(f"not an integer: {v!r}")
+    return int(v)
+
+
 @unlimited_digits
 def surd_from_json(obj: dict) -> QuadraticSurd:
     try:
-        return normalize(*(int(obj[k]) for k in ("a", "b", "c", "d")))
+        return normalize(*(_json_int(obj[k]) for k in ("a", "b", "c", "d")))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (NotIrrational, ZeroDenominator)):
             raise

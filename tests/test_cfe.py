@@ -232,6 +232,13 @@ class TestBlockText:
         assert obj == {"initial": [2], "period": [3, 1]}
         assert block_from_json(obj) == e
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, True, False, None])
+    def test_json_rejects_non_integers(self, bad):
+        # int() would truncate 1.9 to 1 and read True as 1
+        for obj in ({"initial": [], "period": [bad, 2]}, {"initial": [bad], "period": [2]}):
+            with pytest.raises(ParseError):
+                block_from_json(obj)
+
 
 # ---------------------------------------------------------------------------
 # oracles: the expansion core as it was before the reduced-state loop and the

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import cuntzfrac
-from cuntzfrac import equivalence
+from cuntzfrac import equivalence, families
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
 
@@ -244,6 +244,53 @@ class TestVerifyExamples:
         assert payload["failures"] == []
         assert payload["radicand_123"] == 148
         assert payload["field_discriminant_123"] == 37
+
+    def test_text_bytes(self, capsys):
+        code, out, err = run(capsys, "verify-examples")
+        assert (code, err) == (0, "")
+        assert out == (
+            "single-letter blocks, k=1..50: 50/50 pass\n"
+            "two-letter blocks, j,k<=10: 100/100 pass\n"
+            "three-letter blocks, entries<=5: 120/120 pass\n"
+            "four-letter blocks, entries<=5: 600/600 pass\n"
+            "triple (1,2,3): raw radicand D=148, solved surd (-4+1*sqrt(37))/3, "
+            "field discriminant 37\n"
+        )
+
+    def test_json_bytes(self, capsys):
+        code, out, err = run(capsys, "verify-examples", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"failures": [], "field_discriminant_123": 37, "notes": [], '
+            '"passes": [50, 100, 120, 600], "radicand_123": 148}\n'
+        )
+
+    @pytest.mark.parametrize("name, tup, note", [
+        ("triple", (1, 1, 2),
+         "triple (1, 1, 2): closed form gave P(1), inverse construction confirms P(1,1,2)"),
+        ("quad", (1, 3, 1, 2),
+         "quad (1, 3, 1, 2): closed form gave P(1), inverse construction confirms P(1,2,1,3)"),
+    ])
+    def test_closed_form_drift_falls_back(self, capsys, monkeypatch, name, tup, note):
+        # a closed form that drifts for one tuple is overruled by the inverse
+        # construction, and the sweep says so in a note
+        constructor = getattr(families, f"{name}_block_surd")
+
+        def drifting(*args):
+            if args == tup:
+                return families.single_block_surd(1), 0
+            return constructor(*args)
+
+        monkeypatch.setattr(families, f"{name}_block_surd", drifting)
+        code, out, _ = run(capsys, "verify-examples", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["passes"] == [50, 100, 120, 600]
+        assert payload["failures"] == []
+        assert payload["notes"] == [note]
+        code, out, _ = run(capsys, "verify-examples")
+        assert code == 0
+        assert out.splitlines()[-1] == note
 
 
 class TestCorpus:

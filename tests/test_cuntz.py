@@ -299,6 +299,20 @@ class TestCycleSplit:
         assert entries[-1].check == "cycle-split-verdict"
         assert entries[-1].verdict == "reducible"
 
+    def test_exact_integer_residuals(self):
+        for length in range(1, 5):
+            for j0 in itertools.product((1, 2), repeat=length):
+                if not is_nonperiodic(j0):
+                    continue
+                for n in range(2, 13):
+                    entries = cycle_dft_split(j0, n)
+                    assert len(entries) == n * (n - 1) // 2 + n + 1
+                    for e in entries[:-1]:
+                        assert type(e.residual) is int and e.residual == 0
+                        assert e.verdict == "pass"
+                    assert entries[-1].instance == f"J=({','.join(map(str, j0))})^{n}"
+                    assert entries[-1].residual is None
+
     def test_bad_multiplicity(self):
         with pytest.raises(BadMultiplicity):
             cycle_dft_split((1,), 1)

@@ -562,6 +562,19 @@ class TestTextForms:
         assert obj == {"a": "-4", "b": "1", "c": "3", "d": "37"}
         assert surd_from_json(obj) == x
 
+    @pytest.mark.parametrize("bad", [-1.7, 5.2, 1.0, True, False, None])
+    def test_json_rejects_non_integers(self, bad):
+        # int() would truncate -1.7 to -1 and read True as 1
+        for key in "abcd":
+            obj = {"a": -1, "b": 1, "c": 2, "d": 5, key: bad}
+            with pytest.raises(ParseError):
+                surd_from_json(obj)
+
+    def test_json_accepts_int_and_decimal_text(self):
+        x = normalize(-1, 1, 2, 5)
+        assert surd_from_json({"a": -1, "b": "1", "c": 2, "d": "5"}) == x
+        assert surd_from_json({"a": "-1", "b": 1, "c": "2", "d": 5}) == x
+
 
 class TestApproxDecimal:
     def test_golden_digits(self):
