@@ -30,10 +30,10 @@ from .surds import (
 Word = words.Word
 
 
-def _check_quotients(w: Word) -> None:
+def _check_quotients(w: Word, what: str = "partial quotients") -> None:
     for n in w:
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("partial quotients must be integers >= 1")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"{what} must be integers >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,8 @@ def to_pq_form(x: QuadraticSurd) -> PQState:
     kept square factors the state is a common multiple of the one the
     canonical form gives, with the same complete quotients.
     """
-    if x._b > 0:
-        p, q = x._a, x._c
-    else:
-        p, q = -x._a, -x._c
-    d = x._b * x._b * x._d
-    if (d - p * p) % q:
-        p, d, q = p * abs(q), d * q * q, q * abs(q)
-    return PQState(p, q, d)
+    p, _, q, d = _reciprocal_state(x)
+    return PQState(-p, q, d)
 
 
 def _floor_pq(p: int, q: int, sd: int) -> int:
@@ -115,9 +109,16 @@ def _floor_pq(p: int, q: int, sd: int) -> int:
 
 def _reciprocal_state(x: QuadraticSurd) -> tuple[int, int, int, int]:
     # (P, Q, Q_prev, D) of 1/x, the stream all partial quotients of x are read
-    # from; Q_prev * Q = D - P*P, and x itself has Q_prev as its Q
-    st = to_pq_form(x)
-    return -st.P, (st.D - st.P * st.P) // st.Q, st.Q, st.D
+    # from; Q_prev * Q = D - P*P, x itself is (-P + sqrt(D))/Q_prev, scaled by
+    # |Q_prev| when Q_prev does not divide D - P*P as read off x
+    if x._b > 0:
+        p, q = x._a, x._c
+    else:
+        p, q = -x._a, -x._c
+    d = x._b * x._b * x._d
+    if (d - p * p) % q:
+        p, d, q = p * abs(q), d * q * q, q * abs(q)
+    return -p, (d - p * p) // q, q, d
 
 
 def cfe_expand(x: QuadraticSurd, n: int) -> Word:
@@ -180,8 +181,7 @@ def minimal_period_normalize(initial: Word, period: Word) -> PeriodicCFE:
     """
     if not period:
         raise ValueError("period must be nonempty")
-    _check_quotients(initial)
-    _check_quotients(period)
+    _check_quotients((*initial, *period))
     period = tuple(period[: words.primitive_root_length(period)])
     head = list(initial)
     while head and head[-1] == period[-1]:
@@ -191,10 +191,11 @@ def minimal_period_normalize(initial: Word, period: Word) -> PeriodicCFE:
 
 
 def sigma_shift(e: PeriodicCFE) -> PeriodicCFE:
-    """Drop the first symbol of the represented sequence."""
+    """Drop the first symbol of the represented sequence; canonical as built,
+    since the initial block keeps its last symbol and rotations stay primitive."""
     if e.initial:
-        return minimal_period_normalize(e.initial[1:], e.period)
-    return minimal_period_normalize((), e.period[1:] + e.period[:1])
+        return PeriodicCFE._trusted(e.initial[1:], e.period)
+    return PeriodicCFE._trusted((), e.period[1:] + e.period[:1])
 
 
 def block_prefix(e: PeriodicCFE, n: int) -> Word:
@@ -296,6 +297,8 @@ def block_to_json(e: PeriodicCFE) -> dict[str, list[int]]:
 @unlimited_digits
 def block_from_json(obj: dict) -> PeriodicCFE:
     try:
+        if not all(isinstance(obj[k], (list, tuple)) for k in ("initial", "period")):
+            raise TypeError("initial and period must be arrays")
         initial = tuple(_json_int(n) for n in obj["initial"])
         period = tuple(_json_int(n) for n in obj["period"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -12,7 +12,7 @@ import itertools
 import json
 import sys
 
-from . import families
+from . import families, words
 from .cfe import (
     PeriodicCFE,
     block_to_json,
@@ -79,7 +79,7 @@ def cmd_expand(args) -> int:
 def cmd_solve(args) -> int:
     e = parse_block(args.block)
     x = surd_from_cfe(e)
-    label = omega_class_label(x)
+    label = words.canonical_rotation(e.period)  # e is the expansion of x
     dp, df = poly_discriminant(x), field_discriminant(x)
     payload = {
         "surd": surd_to_json(x),

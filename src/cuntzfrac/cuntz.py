@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from . import words
 from .cfe import (
     PeriodicCFE,
+    _check_quotients,
     block_prefix,
     cfe_expand,
     cfe_periodic,
     cfe_step_matrix,
-    minimal_period_normalize,
     sigma_shift,
 )
 from .surds import QuadraticSurd, _require_omega, mobius_apply
@@ -97,9 +97,7 @@ class Chain:
     continuation: str = "?"
 
     def __post_init__(self) -> None:
-        for n in self.prefix:
-            if not isinstance(n, int) or n < 1:
-                raise ValueError("prefix entries must be integers >= 1")
+        _check_quotients(self.prefix, "prefix entries")
 
     def __str__(self) -> str:
         return "P(" + ",".join(map(str, self.prefix)) + ",...)"
@@ -143,9 +141,7 @@ class WordOperator:
     def __post_init__(self) -> None:
         if self.zero and (self.left or self.right):
             raise ValueError("the zero operator carries no words")
-        for n in self.left + self.right:
-            if not isinstance(n, int) or n < 1:
-                raise ValueError("generator indices must be integers >= 1")
+        _check_quotients(self.left + self.right, "generator indices")
 
     def __mul__(self, other: "WordOperator") -> "WordOperator":
         return word_op_mul(self, other)
@@ -188,19 +184,15 @@ def word_op_mul(u: WordOperator, v: WordOperator) -> WordOperator:
 # ---------------------------------------------------------------------------
 # label spaces and the branching action
 
-def label_size(label: PeriodicCFE) -> int:
-    return len(label.initial) + len(label.period)
-
-
-def label_head(label: PeriodicCFE) -> int:
-    return label.initial[0] if label.initial else label.period[0]
-
-
 def label_cons(i: int, label: PeriodicCFE) -> PeriodicCFE:
-    """Prepend a symbol to a label; the branching action of generator i."""
-    if i < 1:
+    """Prepend a symbol to a label; the branching action of generator i.  The
+    result is canonical as built unless i completes the period it precedes."""
+    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
         raise ValueError("generator indices start at 1")
-    return minimal_period_normalize((i,) + label.initial, label.period)
+    p = label.period
+    if not label.initial and i == p[-1]:
+        return PeriodicCFE._trusted((), p[-1:] + p[:-1])
+    return PeriodicCFE._trusted((i,) + label.initial, p)
 
 
 def apply_word_op(u: WordOperator, label: PeriodicCFE) -> PeriodicCFE | None:
@@ -249,14 +241,13 @@ class LabelSpace:
                     for initial in itertools.product(syms, repeat=m):
                         if m and initial[-1] == period[-1]:
                             continue
-                        labels.append(PeriodicCFE(initial, period))
+                        labels.append(PeriodicCFE._trusted(initial, period))
         return cls(labels, cap=cap)
 
     def admit(self, label: PeriodicCFE) -> PeriodicCFE:
-        if label_size(label) > self.cap:
-            raise LabelSpaceOverflow(
-                f"label needs {label_size(label)} symbols, cap is {self.cap}"
-            )
+        size = len(label.initial) + len(label.period)
+        if size > self.cap:
+            raise LabelSpaceOverflow(f"label needs {size} symbols, cap is {self.cap}")
         self._labels.add(label)
         return label
 
@@ -330,7 +321,7 @@ def verify_cuntz_relations(depth: int, alphabet: int) -> list[CheckEntry]:
                 )
 
     for w in base:
-        if w not in images[label_head(w)]:
+        if w not in images[(w.initial or w.period)[0]]:
             bad.append(CheckEntry("branch-cover", f"label={w}", "fail"))
 
     for i in range(1, alphabet + 1):
@@ -358,10 +349,10 @@ def orbit_decompose(space) -> dict[Cycle, frozenset[PeriodicCFE]]:
     periods are rotations of each other; the partition does not depend on
     iteration order.
     """
-    buckets: dict[Cycle, set[PeriodicCFE]] = {}
+    buckets: dict[Word, set[PeriodicCFE]] = {}
     for w in space:
-        buckets.setdefault(Cycle(w.period), set()).add(w)
-    return {k: frozenset(v) for k, v in buckets.items()}
+        buckets.setdefault(words.canonical_rotation(w.period), set()).add(w)
+    return {Cycle(k): frozenset(v) for k, v in buckets.items()}
 
 
 def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
@@ -373,7 +364,7 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     """
     j = _primitive(j)
     name = ",".join(map(str, j))
-    v = PeriodicCFE((), j)
+    v = PeriodicCFE._trusted((), j)
     entries = []
 
     w = v

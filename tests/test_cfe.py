@@ -239,6 +239,21 @@ class TestBlockText:
             with pytest.raises(ParseError):
                 block_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"initial": "12", "period": "3"},
+            {"initial": {"7": 0}, "period": [3]},
+            {"initial": [], "period": "3"},
+            {"initial": None, "period": [3]},
+            None,
+        ],
+    )
+    def test_json_requires_arrays(self, obj):
+        # iterating a string or a dict would read its characters or keys
+        with pytest.raises(ParseError, match="not a block object"):
+            block_from_json(obj)
+
 
 # ---------------------------------------------------------------------------
 # oracles: the expansion core as it was before the reduced-state loop and the
@@ -382,3 +397,20 @@ class TestHugeCoefficients:
         with pytest.raises(ParseError):
             parse_block("(" + "1" * 5000 + ",0)")
         assert sys.get_int_max_str_digits() == before
+
+
+class TestExpansionWithoutPQState:
+    def test_no_state_object_per_expansion(self, monkeypatch):
+        # the expansions read their integer state off the stored coefficients;
+        # to_pq_form alone builds the validated PQState
+        rng = random.Random(61)
+        xs = [normalize(-1, 1, 3, 2), normalize(3, -1, 2, 5)]
+        xs += [random_surd(rng, max_d=10**4) for _ in range(200)]
+        assert sum(map(_needs_scaling, xs)) > 2  # scaled states are covered
+        want = [(cfe_expand(x, 25), cfe_periodic(x)) for x in xs]
+
+        def refuse(*args):
+            raise AssertionError("PQState built on an expansion path")
+
+        monkeypatch.setattr("cuntzfrac.cfe.PQState", refuse)
+        assert [(cfe_expand(x, 25), cfe_periodic(x)) for x in xs] == want

@@ -110,6 +110,19 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "(1,")
         assert code == 2
 
+    def test_label_read_off_the_parsed_block(self, capsys, monkeypatch):
+        # the block is the expansion of the surd just built: no re-expansion
+        want = [run(capsys, "solve", "2,1,(3,1,4)", "--format", f) for f in ("text", "json")]
+
+        def refuse(x):
+            raise AssertionError("solve re-expanded its own answer")
+
+        monkeypatch.setattr("cuntzfrac.equivalence.cfe_periodic", refuse)
+        monkeypatch.setattr("cuntzfrac.cli.cfe_periodic", refuse)
+        got = [run(capsys, "solve", "2,1,(3,1,4)", "--format", f) for f in ("text", "json")]
+        assert got == want
+        assert want[0][1].splitlines()[1] == "label: (1,4,3)"
+
     def test_approx(self, capsys):
         code, out, _ = run(capsys, "solve", "(1)", "--approx", "6")
         assert code == 0

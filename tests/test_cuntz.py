@@ -17,6 +17,7 @@ from cuntzfrac import (
     WordOperator,
     ZERO,
     apply_word_op,
+    block_prefix,
     canonical_cycle,
     classify_surd,
     cycle_dft_split,
@@ -24,10 +25,12 @@ from cuntzfrac import (
     intertwiner_check,
     is_nonperiodic,
     label_cons,
+    minimal_period_normalize,
     normalize,
     orbit_decompose,
     pj_equivalent,
     report_to_json,
+    sigma_shift,
     verify_cuntz_relations,
     word_op_mul,
 )
@@ -183,6 +186,22 @@ class TestWordOperator:
             WordOperator((1,), (2,), zero=True)
 
 
+class TestPublicConstructors:
+    def test_rejects_bools(self):
+        # True is an int to isinstance; no public constructor takes it as 1
+        v = PeriodicCFE((), (2,))
+        with pytest.raises(ValueError, match="partial quotients"):
+            PeriodicCFE((True,), (2,))
+        with pytest.raises(ValueError, match="partial quotients"):
+            minimal_period_normalize((True,), (2,))
+        with pytest.raises(ValueError, match="generator indices"):
+            WordOperator((True,), ())
+        with pytest.raises(ValueError, match="prefix entries"):
+            Chain((True, 2))
+        with pytest.raises(ValueError, match="generator indices start at 1"):
+            label_cons(True, v)
+
+
 class TestLabelAction:
     def test_generator_prepends(self):
         v = PeriodicCFE((), (1,))
@@ -196,6 +215,39 @@ class TestLabelAction:
     def test_cons_absorbs_into_period(self):
         v = PeriodicCFE((), (1, 2))
         assert label_cons(2, v) == PeriodicCFE((), (2, 1))
+
+    def test_canonical_by_rule_without_kmp(self, monkeypatch):
+        # prepending and shifting keep labels canonical by an O(1) rule, so the
+        # label paths never search for a primitive root
+        labels = sorted(LabelSpace.full(5, 3), key=str)
+        ops = [WordOperator(a, b) for a in ((), (1,), (3, 1)) for b in ((), (2,), (1, 2, 1))]
+
+        def rest(w, k):
+            # the label with its first k symbols dropped, as (initial, period)
+            if k <= len(w.initial):
+                return w.initial[k:], w.period
+            m = (k - len(w.initial)) % len(w.period)
+            return (), w.period[m:] + w.period[:m]
+
+        want_cons = [[minimal_period_normalize((i,) + w.initial, w.period) for w in labels]
+                     for i in range(1, 5)]
+        want_shift = [minimal_period_normalize(*rest(w, 1)) for w in labels]
+        want_ops = []
+        for u in ops:
+            for w in labels:
+                if block_prefix(w, len(u.right)) != u.right:
+                    want_ops.append(None)
+                else:
+                    initial, period = rest(w, len(u.right))
+                    want_ops.append(minimal_period_normalize(u.left + initial, period))
+
+        def refuse(w):
+            raise AssertionError("KMP run on a label path")
+
+        monkeypatch.setattr("cuntzfrac.words.failure_function", refuse)
+        assert [[label_cons(i, w) for w in labels] for i in range(1, 5)] == want_cons
+        assert [sigma_shift(w) for w in labels] == want_shift
+        assert [apply_word_op(u, w) for u in ops for w in labels] == want_ops
 
 
 class TestLabelSpace:
