@@ -299,6 +299,8 @@ def block_from_json(obj: dict) -> PeriodicCFE:
     try:
         if not all(isinstance(obj[k], (list, tuple)) for k in ("initial", "period")):
             raise TypeError("initial and period must be arrays")
+        if not obj["period"]:
+            raise ValueError("period must be nonempty")
         initial = tuple(_json_int(n) for n in obj["initial"])
         period = tuple(_json_int(n) for n in obj["period"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -184,11 +184,15 @@ def word_op_mul(u: WordOperator, v: WordOperator) -> WordOperator:
 # ---------------------------------------------------------------------------
 # label spaces and the branching action
 
+def _check_generator(i: int) -> None:
+    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+        raise ValueError("generator indices start at 1")
+
+
 def label_cons(i: int, label: PeriodicCFE) -> PeriodicCFE:
     """Prepend a symbol to a label; the branching action of generator i.  The
     result is canonical as built unless i completes the period it precedes."""
-    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
-        raise ValueError("generator indices start at 1")
+    _check_generator(i)
     p = label.period
     if not label.initial and i == p[-1]:
         return PeriodicCFE._trusted((), p[-1:] + p[:-1])
@@ -299,14 +303,13 @@ def verify_cuntz_relations(depth: int, alphabet: int) -> list[CheckEntry]:
     if alphabet < 2:
         raise ValueError("need alphabet >= 2")
     base = sorted(LabelSpace.full(depth, alphabet), key=str)
-    work = LabelSpace(base, cap=depth + 2)
     bad: list[CheckEntry] = []
 
     images: dict[int, set[PeriodicCFE]] = {}
     for i in range(1, alphabet + 1):
         img = set()
         for w in base:
-            img.add(work.admit(label_cons(i, w)))
+            img.add(label_cons(i, w))
         if len(img) != len(base):
             bad.append(CheckEntry("branch-injective", f"i={i}", "fail"))
         images[i] = img
@@ -450,8 +453,7 @@ def intertwiner_check(x: QuadraticSurd, i: int, n: int) -> bool:
     This is the basis-vector content of the unitary carrying one model of the
     representation to the other, checked to n quotients.
     """
-    if i < 1:
-        raise ValueError("generator indices start at 1")
+    _check_generator(i)
     _require_omega(x)
     img = mobius_apply(cfe_step_matrix(i), x)
     return cfe_expand(img, n + 1) == (i,) + cfe_expand(x, n)

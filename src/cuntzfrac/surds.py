@@ -43,11 +43,13 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # integer factoring, only ever used to pull square factors out of radicands
 #
-# The split needs the square part of n, not its primes.  After trial division
-# by the primes below 1,000, a cofactor m below 10**18 is settled by gcds with
-# products of the primes from 1,000 up to the cube root of m; what is left has
-# at most two prime factors and one integer square root tells them apart.
-# Only cofactors of 10**18 and above go to Miller-Rabin and Pollard-Brent.
+# The split needs the square part of n, not its primes, and reads it off gcds
+# (Bernstein, "How to find smooth parts of integers", 2004).  A gcd with the
+# product of the primes below 1,000 comes first; a cofactor m below 10**18
+# then takes a gcd with the product of the primes from 1,000 up to the cube
+# root of m.  What is left has at most two prime factors and one integer
+# square root tells them apart.  Only cofactors of 10**18 and above go to
+# Miller-Rabin and Pollard-Brent.
 
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * limit
@@ -58,56 +60,29 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-_TRIAL_LIMIT = 1000
-_SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
-# the primes below _TRIAL_LIMIT sieve exactly as far as _TABLE_END, and a
-# cofactor below _CERTIFIED_BELOW has its cube root below _TABLE_END
-_TABLE_END = _TRIAL_LIMIT ** 2
-_CERTIFIED_BELOW = _TABLE_END ** 3
+_SMALL_BOUND = 1000
+_SMALL_PRIMES = _sieve(_SMALL_BOUND)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+# the primes below _SMALL_BOUND sieve exactly as far as _WINDOWS_END, and a
+# cofactor below _CERTIFIED_BELOW has its cube root below _WINDOWS_END
+_WINDOWS_END = _SMALL_BOUND ** 2
+_CERTIFIED_BELOW = _WINDOWS_END ** 3
+# near 4,096 every window's product stays below about 7 kbit; wider windows
+# make the first products large enough to slow splits of 10-12 digits
+_WINDOW = 4096
 
 
-class _PrimeRuns:
-    """Products of runs of consecutive primes in [_TRIAL_LIMIT, _TABLE_END).
+@functools.cache
+def _segment_product(k: int) -> int:
+    """Product of the primes in the k-th _WINDOW-wide window of [_SMALL_BOUND, _WINDOWS_END)."""
+    lo = _SMALL_BOUND + k * _WINDOW
+    hi = min(lo + _WINDOW, _WINDOWS_END)
+    flags = bytearray([1]) * (hi - lo)
+    for p in _SMALL_PRIMES:  # lo > p, so no multiple crossed off is p itself
+        start = -(-lo // p) * p
+        flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+    return math.prod(itertools.compress(range(lo, hi), flags))
 
-    ``runs`` holds (first prime, product of the run) pairs of 256 primes each,
-    the last run shorter.  The table is input-independent constant data that a
-    segmented sieve extends on demand, so nothing runs at import.
-    """
-
-    def __init__(self) -> None:
-        self.runs: list[tuple[int, int]] = []
-        self._more = self._sieve_runs()
-        self._lock = _thread.allocate_lock()
-
-    def covering(self, m: int) -> list[tuple[int, int]]:
-        """The runs, extended to hold every prime p below _TABLE_END with p**3 <= m."""
-        with self._lock:
-            runs = self.runs
-            while (runs[-1][0] if runs else _TRIAL_LIMIT) ** 3 <= m:
-                run = next(self._more, None)
-                if run is None:
-                    break
-                runs.append(run)
-            return runs
-
-    @staticmethod
-    def _sieve_runs():
-        run_len, segment = 256, 1 << 15
-        primes: list[int] = []
-        for lo in range(_TRIAL_LIMIT, _TABLE_END, segment):
-            hi = min(lo + segment, _TABLE_END)
-            flags = bytearray([1]) * (hi - lo)
-            for p in _SMALL_PRIMES:  # lo > p, so no multiple crossed off is p itself
-                start = -(-lo // p) * p
-                flags[start - lo :: p] = bytes(len(range(start, hi, p)))
-            primes += itertools.compress(range(lo, hi), flags)
-            while len(primes) >= run_len:
-                yield primes[0], math.prod(primes[:run_len])
-                del primes[:run_len]
-        yield primes[0], math.prod(primes)
-
-
-_PRIME_RUNS = _PrimeRuns()
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -181,53 +156,47 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // f, out)
 
 
+def _peel(m: int, h: int, s: int, f: int) -> tuple[int, int, int]:
+    # h is the product of some primes of m, each once; divides them out of m
+    # with their exponents, the square part into s and the odd part into f
+    m //= h
+    k = 1
+    while h > 1:
+        # h is the product of the primes of exponent >= k in the cofactor,
+        # and m has had each of them divided out k times
+        deeper = math.gcd(m, h)
+        exact = h // deeper
+        s *= exact ** (k // 2)
+        if k % 2:
+            f *= exact
+        m //= deeper
+        h = deeper
+        k += 1
+    return m, s, f
+
+
 @lru_cache(maxsize=4096)
 def squarefree_split(n: int) -> tuple[int, int]:
     """Split n >= 1 as s*s*f with f squarefree; returns (s, f).
 
-    Trial division by the primes below 1,000 comes first.  A cofactor m below
-    10**18 is then split by gcds alone: h = gcd(m, product of the primes
-    p >= 1,000 with p**3 <= m) holds each prime of m up to its cube root once,
-    and gcds of h with what is left of m read off which primes have exponent
-    exactly 1, 2, ...  The rest has every prime factor above the cube root of
-    m, so it is 1, p, p*p or p*q, and one integer square root decides which.
-    No prime is ever found and no primality test runs.  Cofactors of 10**18
-    and above go to Miller-Rabin and Pollard-Brent.
+    A gcd with the product of the primes below 1,000 comes first.  A cofactor
+    m below 10**18 is then split by gcds alone: h = gcd(m, product of the
+    primes p >= 1,000 with p**3 <= m) holds each prime of m up to its cube
+    root once, and gcds of h with what is left of m read off which primes
+    have exponent exactly 1, 2, ...  The rest has every prime factor above
+    the cube root of m, so it is 1, p, p*p or p*q, and one integer square
+    root decides which.  No prime is ever found and no primality test runs.
+    Cofactors of 10**18 and above go to Miller-Rabin and Pollard-Brent.
     """
     if n < 1:
         raise ValueError("squarefree_split needs n >= 1")
-    s, f, m = 1, 1, n
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
+    m, s, f = _peel(n, math.gcd(n, _SMALL_PRODUCT), 1, 1)
     if m < _CERTIFIED_BELOW:
-        acc = 1
-        for first, product in _PRIME_RUNS.covering(m):
-            if first ** 3 > m:
-                break
-            acc = acc * (product % m) % m
-        h = math.gcd(m, acc)
-        m //= h
-        k = 1
-        while h > 1:
-            # h is the product of the primes of exponent >= k in the cofactor,
-            # and m has had each of them divided out k times
-            deeper = math.gcd(m, h)
-            exact = h // deeper
-            s *= exact ** (k // 2)
-            if k % 2:
-                f *= exact
-            m //= deeper
-            h = deeper
+        acc, k = 1, 0
+        while (_SMALL_BOUND + k * _WINDOW) ** 3 <= m:
+            acc = acc * (_segment_product(k) % m) % m
             k += 1
+        m, s, f = _peel(m, math.gcd(m, acc), s, f)
     # a certified cofactor now has at most two prime factors
     r = math.isqrt(m)
     if r * r == m:
@@ -482,24 +451,40 @@ def field_discriminant(x: QuadraticSurd) -> int:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
+# the count of decorated calls running and the interpreter-wide limit change
+# together under this lock: the first call in saves and lifts the limit, the
+# last one out restores it, so overlapping calls never restore each other's 0
+_DIGITS_LOCK = _thread.allocate_lock()
+_digits_users = 0
+_digits_saved = 0
+
+
 def unlimited_digits(fn):
     """Decorator: run fn with CPython's int<->str digit limit lifted.
 
     Coefficients have arbitrary precision, so their decimal text must too.
-    The limit is lifted only while fn runs and restored afterwards, never
-    changed process-wide; interpreters without the limit get fn unchanged.
+    The limit is lifted while any decorated call runs, in any thread, and
+    restored when the last of them returns; interpreters without the limit
+    get fn unchanged.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         return fn
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+        global _digits_users, _digits_saved
+        with _DIGITS_LOCK:
+            if not _digits_users:
+                _digits_saved = sys.get_int_max_str_digits()
+                sys.set_int_max_str_digits(0)
+            _digits_users += 1
         try:
             return fn(*args, **kwargs)
         finally:
-            sys.set_int_max_str_digits(saved)
+            with _DIGITS_LOCK:
+                _digits_users -= 1
+                if not _digits_users:
+                    sys.set_int_max_str_digits(_digits_saved)
 
     return wrapper
 

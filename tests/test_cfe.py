@@ -246,6 +246,7 @@ class TestBlockText:
             {"initial": {"7": 0}, "period": [3]},
             {"initial": [], "period": "3"},
             {"initial": None, "period": [3]},
+            {"initial": [], "period": []},
             None,
         ],
     )

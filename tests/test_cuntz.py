@@ -388,3 +388,9 @@ class TestIntertwiner:
         rng = random.Random(59)
         for _ in range(60):
             assert intertwiner_check(random_surd(rng), rng.randint(1, 6), 25)
+
+    @pytest.mark.parametrize("i", [True, False, 2.0, "2", 0])
+    def test_generator_must_be_a_positive_int(self, i):
+        # the same guard as label_cons: True is an int to isinstance, not index 1
+        with pytest.raises(ValueError, match="generator indices start at 1"):
+            intertwiner_check(normalize(-1, 1, 2, 5), i, 5)

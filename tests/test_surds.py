@@ -20,6 +20,7 @@ from conftest import random_surd, random_unimodular
 from cuntzfrac import (
     NotIrrational,
     ParseError,
+    PeriodicCFE,
     QuadraticSurd,
     UnimodularMatrix,
     ZeroDenominator,
@@ -31,6 +32,7 @@ from cuntzfrac import (
     cmp_int,
     field_discriminant,
     floor_of,
+    format_block,
     format_surd,
     gauss_tau,
     in_omega,
@@ -39,6 +41,7 @@ from cuntzfrac import (
     modular_equivalent,
     normalize,
     omega_class_label,
+    parse_block,
     parse_surd,
     poly_discriminant,
     squarefree_split,
@@ -230,32 +233,38 @@ class TestGcdCertificate:
             split(above)
 
     def test_table_against_independent_sieve(self, primes_below_10_6):
-        table = surds._PrimeRuns()
-        assert table.covering(10**9 - 1) == []  # 1000**3 needs no prime past trial division
-        assert 0 < len(table.covering(1009**3)) < 306  # grown only as far as needed
-        runs = table.covering(10**18 - 1)
+        cached = surds._segment_product.cache_info
+        split = squarefree_split.__wrapped__
+        surds._segment_product.cache_clear()
+        split(10**9 - 63)  # below 1000**3: no prime past 1,000 can be a cube root
+        assert cached().currsize == 0
+        split(1009**3)
+        assert cached().currsize == 1  # built only as far as needed
         expected = primes_below_10_6[bisect.bisect_left(primes_below_10_6, 1000):]
         assert len(expected) == 78_330
-        assert len(runs) == 306
-        firsts = [first for first, _ in runs]
-        assert all(a < b for a, b in zip(firsts, firsts[1:]))
-        for i, (first, product) in enumerate(runs):
-            run = expected[256 * i : 256 * (i + 1)]
-            assert first == run[0]
-            assert product == math.prod(run)
+        width = surds._WINDOW
+        assert len(range(1000, 10**6, width)) == 244
+        for k, lo in enumerate(range(1000, 10**6, width)):
+            i, j = bisect.bisect_left(expected, lo), bisect.bisect_left(expected, lo + width)
+            assert surds._segment_product.__wrapped__(k) == math.prod(expected[i:j])
+        assert surds._SMALL_PRODUCT == math.prod(p for p in range(2, 1000) if _LPF[p] == p)
 
     def test_table_grows_once_under_threads(self):
-        table = surds._PrimeRuns()
-        bounds = [10**9 + 10**k for k in range(10, 18)] * 2
+        rng = random.Random(4096)
+        cases = [(p * p * q, p, q) for p, q in (rng.sample(MID_PRIMES, 2) for _ in range(200))]
+        cases += [(999_983**3, 999_983, 999_983)]
+        split = squarefree_split.__wrapped__
+        results = {}
 
-        def grow(ms):
-            for m in ms:
-                table.covering(m)
+        def run(chunk):
+            for n, s, f in chunk:
+                results[n] = (split(n), (s, f))
 
+        surds._segment_product.cache_clear()
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=grow, args=(bounds[i::4],)) for i in range(4)]
+            workers = [threading.Thread(target=run, args=(cases[i::4],)) for i in range(4)]
             for w in workers:
                 w.start()
             for w in workers:
@@ -263,12 +272,17 @@ class TestGcdCertificate:
                 assert not w.is_alive()
         finally:
             sys.setswitchinterval(saved)
-        firsts = [first for first, _ in table.runs]
-        assert firsts == sorted(set(firsts))
-        assert table.runs == surds._PrimeRuns().covering(max(bounds))
+        assert len(results) == len(cases)
+        assert all(got == want for got, want in results.values())
+        # each window is stored once, and what is stored is its product
+        info = surds._segment_product.cache_info()
+        assert info.currsize == 244
+        for k in range(244):
+            assert surds._segment_product(k) == surds._segment_product.__wrapped__(k)
+        assert surds._segment_product.cache_info().misses == info.misses
 
     def test_nothing_is_built_at_import(self):
-        code = "import cuntzfrac.surds as s; assert s._PRIME_RUNS.runs == []"
+        code = "import cuntzfrac.surds as s; assert s._segment_product.cache_info().currsize == 0"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surds.__file__)))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, env=env)
         assert done.returncode == 0, done.stderr
@@ -627,3 +641,37 @@ class TestHugeCoefficients:
         with pytest.raises(ParseError):
             parse_surd(f"({BIG_A}+3*sqrt(5)/{BIG_C}")
         assert sys.get_int_max_str_digits() == before
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
+    def test_limit_is_restored_under_threads(self):
+        # overlapping codecs lift the limit once between them; each one saving
+        # and restoring on its own would restore another's 0, or convert a
+        # 5,001-digit number while another has just put 4,300 back
+        x = normalize(-10**5000, 1, 1, 10**10000 + 1)
+        block = PeriodicCFE((), (10**5000, 1))
+        errors = []
+
+        def work():
+            try:
+                for _ in range(200):
+                    assert approx_decimal(x, 20) == "0." + "0" * 20
+                    assert parse_block(format_block(block)) == block
+            except Exception as exc:
+                errors.append(exc)
+
+        before = sys.get_int_max_str_digits()
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+            after = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(before)
+        assert errors == []
+        assert after == before
