@@ -182,12 +182,18 @@ def minimal_period_normalize(initial: Word, period: Word) -> PeriodicCFE:
     if not period:
         raise ValueError("period must be nonempty")
     _check_quotients((*initial, *period))
-    period = tuple(period[: words.primitive_root_length(period)])
-    head = list(initial)
-    while head and head[-1] == period[-1]:
-        head.pop()
-        period = period[-1:] + period[:-1]
-    return PeriodicCFE._trusted(tuple(head), period)
+    return _canonical(tuple(initial), tuple(period))
+
+
+def _canonical(initial: Word, period: Word) -> PeriodicCFE:
+    # trusted: int tuples >= 1, period nonempty; the k trailing symbols of the
+    # initial block that the period repeats fold in as one rotation by k
+    n = words.primitive_root_length(period)
+    k = 0
+    while k < len(initial) and initial[-1 - k] == period[n - 1 - k % n]:
+        k += 1
+    r = n - k % n
+    return PeriodicCFE._trusted(initial[: len(initial) - k], period[r:n] + period[:r])
 
 
 def sigma_shift(e: PeriodicCFE) -> PeriodicCFE:
@@ -259,8 +265,7 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
-_PURE_RE = re.compile(r"^\((\d+(?:,\d+)*)\)$")
-_MIXED_RE = re.compile(r"^(\d+(?:,\d+)*),\((\d+(?:,\d+)*)\)$")
+_BLOCK_RE = re.compile(r"^(?:(\d+(?:,\d+)*),)?\((\d+(?:,\d+)*)\)$")
 
 
 @unlimited_digits
@@ -274,20 +279,15 @@ def format_block(e: PeriodicCFE) -> str:
 @unlimited_digits
 def parse_block(text: str) -> PeriodicCFE:
     """Parse `2,1,(3,1,4)` or `(1,2,3)`; the result is canonicalized."""
-    t = re.sub(r"\s+", "", text)
-    m = _PURE_RE.match(t)
-    if m:
-        initial: Word = ()
-        period = tuple(int(n) for n in m.group(1).split(","))
-    else:
-        m = _MIXED_RE.match(t)
-        if not m:
-            raise ParseError(f"not a block literal: {text!r}")
-        initial = tuple(int(n) for n in m.group(1).split(","))
-        period = tuple(int(n) for n in m.group(2).split(","))
-    if any(n < 1 for n in initial + period):
+    m = _BLOCK_RE.match(re.sub(r"\s+", "", text))
+    if not m:
+        raise ParseError(f"not a block literal: {text!r}")
+    head, body = m.groups()
+    initial = tuple(map(int, head.split(","))) if head else ()
+    period = tuple(map(int, body.split(",")))
+    if 0 in initial or 0 in period:  # \d+ admits no other bad value
         raise ParseError(f"partial quotients must be >= 1: {text!r}")
-    return minimal_period_normalize(initial, period)
+    return _canonical(initial, period)
 
 
 def block_to_json(e: PeriodicCFE) -> dict[str, list[int]]:
@@ -307,4 +307,4 @@ def block_from_json(obj: dict) -> PeriodicCFE:
         raise ParseError(f"not a block object: {obj!r}") from exc
     if any(n < 1 for n in initial + period):
         raise ParseError(f"partial quotients must be >= 1: {obj!r}")
-    return minimal_period_normalize(initial, period)
+    return _canonical(initial, period)

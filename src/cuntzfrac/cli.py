@@ -247,7 +247,7 @@ def cmd_corpus(args) -> int:
 
     out_path = args.out or (args.path + ".results.json")
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2)
+        fh.write(json.dumps(results, indent=2))
 
     total = sum(counts.values())
     summary = {"entries": total, **counts, "results": out_path}

@@ -22,7 +22,7 @@ from .cfe import (
     cfe_step_matrix,
     sigma_shift,
 )
-from .surds import QuadraticSurd, _require_omega, mobius_apply
+from .surds import QuadraticSurd, _require_omega, mobius_apply, unlimited_digits
 
 Word = words.Word
 
@@ -80,6 +80,7 @@ class Cycle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", canonical_cycle(tuple(self.word)))
 
+    @unlimited_digits
     def __str__(self) -> str:
         return "P(" + ",".join(map(str, self.word)) + ")"
 
@@ -99,6 +100,7 @@ class Chain:
     def __post_init__(self) -> None:
         _check_quotients(self.prefix, "prefix entries")
 
+    @unlimited_digits
     def __str__(self) -> str:
         return "P(" + ",".join(map(str, self.prefix)) + ",...)"
 
@@ -151,6 +153,7 @@ class WordOperator:
             return self
         return WordOperator(self.right, self.left)
 
+    @unlimited_digits
     def __str__(self) -> str:
         if self.zero:
             return "0"

@@ -31,34 +31,31 @@ def is_primitive(w: Word) -> bool:
 
 
 def least_rotation_index(w: Word) -> int:
-    """Start index of the lexicographically least rotation (Booth's algorithm).
+    """Smallest start index of the lexicographically least rotation.
+
+    Two-pointer scan over w + w: starts i < j are compared k symbols in, and
+    a mismatch rules out the larger start and the k starts after it.  Linear
+    time, no auxiliary array; 0 for the empty word.
 
     >>> least_rotation_index((2, 3, 1))
     2
     >>> least_rotation_index((1,))
     0
     """
+    n = len(w)
     s = w + w
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = f[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if c != s[k + i + 1]:
-            if c < s[k]:
-                k = j
-            f[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(j + 1, i + k + 1), 0
         else:
-            f[j - k] = i + 1
-    return k
+            j, k = j + k + 1, 0
+    return i
 
 
 def canonical_rotation(w: Word) -> Word:
-    if not w:
-        return w
     k = least_rotation_index(w)
     return w[k:] + w[:k]

@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
 import random
+import re
+import subprocess
 import sys
 
 import pytest
 
 from conftest import random_surd
+import cuntzfrac
 from cuntzfrac import (
     ParseError,
     PeriodicCFE,
@@ -28,6 +32,7 @@ from cuntzfrac import (
     surd_from_cfe,
     to_pq_form,
 )
+from cuntzfrac import cfe
 from cuntzfrac.cfe import _FOLD_LEAF, _fold
 from cuntzfrac.surds import DomainError
 from cuntzfrac.words import is_primitive
@@ -127,6 +132,34 @@ class TestNormalizeBlock:
             raw = (initial + period * 20)[:n]
             assert block_prefix(e, n) == raw
 
+    @pytest.mark.parametrize(
+        "initial, period, message",
+        [
+            ((), (), "period must be nonempty"),
+            ((0,), (1,), "partial quotients must be integers >= 1"),
+            ((1,), (2.0,), "partial quotients must be integers >= 1"),
+        ],
+    )
+    def test_normalize_still_validates(self, initial, period, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            minimal_period_normalize(initial, period)
+
+    def test_whole_period_folds_in_linear_time(self):
+        # an initial block equal to the period folds in completely; one
+        # rotation instead of one per symbol keeps this far inside the timeout
+        code = (
+            "import random\n"
+            "from cuntzfrac import PeriodicCFE, minimal_period_normalize, parse_block\n"
+            "rng = random.Random(89)\n"
+            "w = tuple(rng.randint(1, 9) for _ in range(200_000))\n"
+            "t = ','.join(map(str, w))\n"
+            "assert str(parse_block(f'{t},({t})')) == f'({t})'\n"
+            "assert minimal_period_normalize(w, w) == PeriodicCFE((), w)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuntzfrac.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+
     def test_constructor_rejects_non_canonical(self):
         with pytest.raises(ValueError):
             PeriodicCFE((), (1, 2, 1, 2))
@@ -225,6 +258,61 @@ class TestBlockText:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_block(bad)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(0)", "partial quotients must be >= 1: '(0)'"),
+            ("1,(0,2)", "partial quotients must be >= 1: '1,(0,2)'"),
+            ("1,2", "not a block literal: '1,2'"),
+        ],
+    )
+    def test_parse_error_texts(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_block(text)
+        assert str(info.value) == message
+
+    def test_parse_matches_normalize(self):
+        # whitespace, leading zeros, non-primitive periods and initial tails
+        # that fold into the period
+        rng = random.Random(83)
+
+        def digits(w):
+            return [rng.choice(("", "", "0", "000")) + str(n) for n in w]
+
+        def spaced(text):
+            return "".join(c + rng.choice(("", "", " ", "\t", "\n ")) for c in text)
+
+        folded = powers = 0
+        for _ in range(600):
+            root = tuple(rng.choice((1, 2, 3, 10**30)) for _ in range(rng.randint(1, 4)))
+            period = root * rng.choice((1, 1, 2, 3))
+            head = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+            tail = (period * 3)[len(period) * 3 - rng.randint(0, 2 * len(period)):]
+            initial = head + tail
+            text = ",".join(digits(initial) + ["(" + ",".join(digits(period)) + ")"])
+            want = minimal_period_normalize(initial, period)
+            assert parse_block(spaced(text)) == want
+            folded += len(want.initial) < len(initial)
+            powers += len(want.period) < len(period)
+        assert folded > 200 and powers > 100
+
+    def test_codecs_validate_once(self, monkeypatch):
+        # a parsed block is checked by its codec and canonicalized trusted:
+        # neither the public validator nor the public normalizer runs again
+        raw = [((), (1, 2, 3)), ((2, 1), (3, 1, 4)), ((), (2, 2)), ((1,), (1,)),
+               ((3, 1, 2), (1, 2)), ((10**30, 2), (1, 2, 1, 2))]
+        want = [minimal_period_normalize(i, p) for i, p in raw]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validated twice")
+
+        monkeypatch.setattr(cfe, "_check_quotients", refuse)
+        monkeypatch.setattr(cfe, "minimal_period_normalize", refuse)
+        for (initial, period), e in zip(raw, want):
+            text = ",".join([*map(str, initial), "(" + ",".join(map(str, period)) + ")"])
+            assert parse_block(text) == e
+            assert block_from_json({"initial": list(initial), "period": list(period)}) == e
 
     def test_json_round_trip(self):
         e = PeriodicCFE((2,), (3, 1))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -31,6 +32,7 @@ from cuntzfrac import (
     pj_equivalent,
     report_to_json,
     sigma_shift,
+    surd_from_cfe,
     verify_cuntz_relations,
     word_op_mul,
 )
@@ -109,6 +111,21 @@ class TestRepClasses:
         assert pj_equivalent(a, b) is True
         assert pj_equivalent(a, c) is None
         assert pj_equivalent(Chain((1,)), Chain((1,))) is None
+
+
+class TestHugeEntries:
+    def test_text_lifts_the_digit_limit(self):
+        # entries far beyond CPython's 4,300-digit int -> str limit
+        big, digits = 10**5000, "1" + "0" * 5000
+        x = surd_from_cfe(PeriodicCFE((), (big, 1)))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        assert str(Cycle((big, 1))) == f"P(1,{digits})"
+        assert str(classify_surd(x)) == f"P(1,{digits})"
+        assert str(Chain((big,))) == f"P({digits},...)"
+        assert str(WordOperator((big,), ())) == f"s[{digits}]"
+        assert str(WordOperator((2,), (big,))) == f"s[2]s[{digits}]*"
+        assert limit() == before
 
 
 class TestClassifySurd:

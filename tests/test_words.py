@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,11 @@ small_words = st.lists(st.integers(1, 4), min_size=1, max_size=9).map(tuple)
 
 def brute_min_rotation(w):
     return min(w[i:] + w[:i] for i in range(len(w)))
+
+
+def smallest_least_rotation(w):
+    # index oracle: among the starts of the least rotation, the smallest
+    return min(range(len(w)), key=lambda k: (w[k:] + w[:k], k))
 
 
 def brute_primitive(w):
@@ -57,3 +64,44 @@ def test_least_rotation_index_examples():
     assert least_rotation_index((2, 3, 1)) == 2
     assert least_rotation_index((3, 1, 2)) == 1
     assert least_rotation_index((1,)) == 0
+
+
+def test_least_rotation_index_every_short_word():
+    assert least_rotation_index(()) == 0
+    assert canonical_rotation(()) == ()
+    for alphabet, max_len in (((1, 2), 10), ((1, 2, 3), 7)):
+        for n in range(1, max_len + 1):
+            for w in itertools.product(alphabet, repeat=n):
+                assert least_rotation_index(w) == smallest_least_rotation(w), w
+
+
+def _fibonacci_word(n):
+    a, b = (1,), (1, 2)
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _thue_morse_word(n):
+    return tuple(1 + bin(i).count("1") % 2 for i in range(n))
+
+
+_N = 2000
+_rng = random.Random(97)
+LONG_WORDS = {
+    "1^(n-1)2": (1,) * (_N - 1) + (2,),
+    "21^(n-1)": (2,) + (1,) * (_N - 1),
+    "(12)^k1": (1, 2) * (_N // 2) + (1,),
+    "(112)^k": (1, 1, 2) * (_N // 3),
+    "fibonacci": _fibonacci_word(_N),
+    "thue-morse": _thue_morse_word(_N),
+    "random-1-2": tuple(_rng.randint(1, 2) for _ in range(_N)),
+    "random-1-1e6": tuple(_rng.randint(1, 10**6) for _ in range(_N)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_WORDS))
+def test_least_rotation_index_long_words(name):
+    # words whose scans skip far ahead, restart often, or never mismatch
+    w = LONG_WORDS[name]
+    assert least_rotation_index(w) == smallest_least_rotation(w)
