@@ -220,21 +220,86 @@ def cfe_step_matrix(a: int) -> UnimodularMatrix:
 
 # blocks at most this long are folded one matrix at a time
 _FOLD_LEAF = 32
+# periods longer than this are solved from their fold mod _FOLD_MOD first; the
+# measured crossover, below which the exact tree is faster than the guess
+_GUESS_FROM = 20_000
+# a Mersenne prime: every residue but 0 inverts
+_FOLD_MOD = 2**127 - 1
 
 
-def _fold(w: Word, lo: int, hi: int) -> tuple[int, int, int, int]:
-    # entries (p, q, r, s) of the product of cfe_step_matrix(a) over w[lo:hi];
-    # halving keeps the operands of each big multiplication balanced
+def _fold(w: Word, lo: int, hi: int, m: int = 0) -> tuple[int, int, int, int]:
+    # entries (p, q, r, s) of the product of cfe_step_matrix(a) over w[lo:hi],
+    # reduced mod m when m is set; halving keeps the operands of each big
+    # multiplication balanced
     if hi - lo <= _FOLD_LEAF:
         p, q, r, s = 1, 0, 0, 1
         for i in range(lo, hi):
             a = w[i]
             p, q, r, s = q, p + q * a, s, r + s * a
-        return p, q, r, s
-    mid = (lo + hi) // 2
-    p1, q1, r1, s1 = _fold(w, lo, mid)
-    p2, q2, r2, s2 = _fold(w, mid, hi)
-    return p1 * p2 + q1 * r2, p1 * q2 + q1 * s2, r1 * p2 + s1 * r2, r1 * q2 + s1 * s2
+    else:
+        mid = (lo + hi) // 2
+        p1, q1, r1, s1 = _fold(w, lo, mid, m)
+        p2, q2, r2, s2 = _fold(w, mid, hi, m)
+        p, q, r, s = p1 * p2 + q1 * r2, p1 * q2 + q1 * s2, r1 * p2 + s1 * r2, r1 * q2 + s1 * s2
+    if m:
+        return p % m, q % m, r % m, s % m
+    return p, q, r, s
+
+
+def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    # n/d in lowest terms with n = u*d mod m, |n| <= bound and 0 < d <= bound,
+    # by the half extended Euclidean algorithm (Wang); unique when
+    # 2*bound*bound < m
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _certified(a: int, b: int, c: int, period: Word) -> bool:
+    # does the root of a*y^2 + b*y - c in (0, 1) have the purely periodic
+    # expansion (period)?  Its reciprocal (b + sqrt(D))/(2c) must be reduced,
+    # read the period quotient by quotient and come back to itself; a purely
+    # periodic number is fixed by its period, so True is a proof
+    d = b * b + 4 * a * c
+    sd = math.isqrt(d)
+    p, q, q_prev = b, 2 * c, 2 * a
+    if sd * sd == d or not (0 < p <= sd and sd - p < q <= sd + p):
+        return False
+    for want in period:
+        k = (p + sd) // q
+        if k != want:
+            return False
+        p_next = k * q - p
+        q, q_prev = q_prev + k * (p - p_next), q
+        p = p_next
+    return p == b and q == 2 * c
+
+
+def _guess(period: Word) -> tuple[int, int, int] | None:
+    # the primitive (A, B, C) of the period read off its fold mod _FOLD_MOD by
+    # rational reconstruction of B/A and C/A, or None unless certified
+    m = _FOLD_MOD
+    p, q, r, s = _fold(period, 0, len(period), m)
+    if not r:
+        return None
+    inv = pow(r, -1, m)
+    bound = math.isqrt(m // 2)
+    ba = _rational((s - p) * inv % m, m, bound)
+    ca = _rational(q * inv % m, m, bound)
+    if ba is None or ca is None:
+        return None
+    # lowest terms on both sides make (a, b, c) primitive with a > 0
+    a = math.lcm(ba[1], ca[1])
+    b, c = ba[0] * (a // ba[1]), ca[0] * (a // ca[1])
+    if c <= 0 or not _certified(a, b, c, period):
+        return None
+    return a, b, c
 
 
 def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
@@ -242,17 +307,29 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
 
     The period's step matrices compose to [[p, q], [r, s]]; the purely
     periodic tail is the root of r*y^2 + (s-p)*y - q inside (0, 1), and the
-    initial block is then applied as a single composed matrix.  Both products
-    are built as product trees (binary splitting): halves are folded
+    initial block is then applied as a single composed matrix.  Exact
+    products are product trees (binary splitting): halves are folded
     recursively and multiplied once, so the cost follows fast multiplication
     of the final entries instead of growing quadratically in their bit size.
-    The quadratic is divided by its content first: that leaves the primitive
-    minimal polynomial, whose discriminant stays at the scale of the field
-    instead of inheriting the exponential growth of the matrix entries.
+    The quadratic is divided by its content, leaving the primitive minimal
+    polynomial, whose coefficients stay at the scale of the field while the
+    matrix entries grow like the fundamental unit.
+
+    So a period longer than ``_GUESS_FROM`` is first folded mod the prime
+    2**127 - 1, and rational reconstruction reads a candidate polynomial off
+    the residues.  It is kept only if its root re-expands to the period: the
+    reciprocal state is reduced, every quotient matches, and the state comes
+    back after the last one.  A purely periodic number is fixed by its
+    period, so this is a proof and the prime only guides the search.  Any
+    failure falls back to the exact product; the initial block is always
+    folded exactly.
     """
-    p, q, r, s = _fold(e.period, 0, len(e.period))
-    g = math.gcd(r, s - p, q)
-    rr, bb, qq = r // g, (s - p) // g, q // g
+    abc = _guess(e.period) if len(e.period) > _GUESS_FROM else None
+    if abc is None:
+        p, q, r, s = _fold(e.period, 0, len(e.period))
+        g = math.gcd(r, s - p, q)
+        abc = r // g, (s - p) // g, q // g
+    rr, bb, qq = abc
     disc = bb * bb + 4 * rr * qq
     y = normalize(-bb, 1, 2 * rr, disc)
     if not in_omega(y):

@@ -65,8 +65,14 @@ def _word_text(w) -> str:
     return "(" + ",".join(map(str, w)) + ")"
 
 
+def _literal(text: str) -> str:
+    # "-" reads the literal from stdin, for blocks past the size limit of one
+    # command-line argument
+    return sys.stdin.read().strip() if text == "-" else text
+
+
 def cmd_expand(args) -> int:
-    x = parse_surd(args.surd)
+    x = parse_surd(_literal(args.surd))
     if args.periodic:
         e = cfe_periodic(x)
         _emit(args, block_to_json(e), [format_block(e)])
@@ -77,7 +83,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    e = parse_block(args.block)
+    e = parse_block(_literal(args.block))
     x = surd_from_cfe(e)
     label = words.canonical_rotation(e.period)  # e is the expansion of x
     dp, df = poly_discriminant(x), field_discriminant(x)
@@ -94,7 +100,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    x, y = parse_surd(args.left), parse_surd(args.right)
+    if args.left == args.right == "-":
+        raise ParseError("only one of the two surds can be read from stdin")
+    x, y = parse_surd(_literal(args.left)), parse_surd(_literal(args.right))
     lx, ly = omega_class_label(x), omega_class_label(y)
     eq = lx == ly  # equal labels are exactly modular equivalence
     verdict = "equivalent" if eq else "inequivalent"
@@ -105,14 +113,14 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    x = parse_surd(args.surd)
+    x = parse_surd(_literal(args.surd))
     cls = classify_surd(x)
     _emit(args, {"class": str(cls), "word": list(cls.word)}, [str(cls)])
     return EXIT_OK
 
 
 def cmd_tau(args) -> int:
-    x = parse_surd(args.surd)
+    x = parse_surd(_literal(args.surd))
     t = gauss_tau(x)
     payload = {"surd": surd_to_json(t)}
     lines = [format_surd(t)]
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", parents=[common],
                        help="partial quotients of a surd in (0, 1)")
-    p.add_argument("surd", help="surd literal, e.g. \"(-1+1*sqrt(5))/2\"")
+    p.add_argument("surd", help="surd literal, e.g. \"(-1+1*sqrt(5))/2\", or - for stdin")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--terms", type=int, metavar="N", help="first N quotients")
     group.add_argument("--periodic", action="store_true",
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common],
                        help="surd in (0, 1) whose expansion is a given block")
-    p.add_argument("block", help="block literal, e.g. \"(1,2,3)\" or \"2,1,(3)\"")
+    p.add_argument("block", help="block literal, e.g. \"(1,2,3)\" or \"2,1,(3)\", or - for stdin")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("equiv", parents=[common],

@@ -19,11 +19,30 @@ def failure_function(w: Word) -> list[int]:
 
 
 def primitive_root_length(w: Word) -> int:
-    """Length of the shortest u with w = u^m; equals len(w) iff w is primitive."""
-    if not w:
+    """Length of the shortest u with w = u^m; equals len(w) iff w is primitive.
+
+    The root length r divides n = len(w), and w = u^(n/t) for a divisor t of
+    n exactly when w has period t, which one slice comparison decides.  For
+    each prime p dividing n, r is divided by p while w has period r/p; the r
+    left is the root length, after O(n * Omega(n)) compared symbols.
+
+    >>> primitive_root_length((1, 2) * 6)
+    2
+    """
+    n = len(w)
+    if not n:
         raise ValueError("empty word has no primitive root")
-    p = len(w) - failure_function(w)[-1]
-    return p if len(w) % p == 0 else len(w)
+    r, k, p = n, n, 2
+    while k > 1:
+        if p * p > k:
+            p = k  # what is left of k is prime
+        if k % p == 0:
+            while k % p == 0:
+                k //= p
+            while r % p == 0 and w[r // p:] == w[: n - r // p]:
+                r //= p
+        p += 1
+    return r
 
 
 def is_primitive(w: Word) -> bool:

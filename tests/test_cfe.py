@@ -33,7 +33,7 @@ from cuntzfrac import (
     to_pq_form,
 )
 from cuntzfrac import cfe
-from cuntzfrac.cfe import _FOLD_LEAF, _fold
+from cuntzfrac.cfe import _FOLD_LEAF, _FOLD_MOD, _GUESS_FROM, _fold
 from cuntzfrac.surds import DomainError
 from cuntzfrac.words import is_primitive
 
@@ -443,6 +443,85 @@ class TestCoreOracles:
         shifted = minimal_period_normalize((3, 1, 4), e.period)
         assert surd_from_cfe(shifted) == _sequential_surd_from_cfe(shifted)
         assert cfe_periodic(surd_from_cfe(shifted)) == shifted
+
+
+def _fold_spy(monkeypatch):
+    # records (lo, hi, m) of every _fold call, the recursive ones included
+    calls = []
+    fold = cfe._fold
+
+    def spy(w, lo, hi, m=0):
+        calls.append((lo, hi, m))
+        return fold(w, lo, hi, m)
+
+    monkeypatch.setattr(cfe, "_fold", spy)
+    return calls
+
+
+class TestGuessedFold:
+    def test_long_period_is_guessed(self, monkeypatch):
+        # sqrt(5720702249) has a period of 30,330 quotients
+        d = 5_720_702_249
+        x = normalize(-math.isqrt(d), 1, 1, d)
+        e = cfe_periodic(x)
+        n = len(e.period)
+        assert n > _GUESS_FROM
+        calls = _fold_spy(monkeypatch)
+        assert surd_from_cfe(e) == x
+        assert (0, n, _FOLD_MOD) in calls
+        assert all(m for lo, hi, m in calls if (lo, hi) == (0, n))
+        assert not [c for c in calls if c[2] == 0 and c[1] - c[0] > _FOLD_LEAF]
+
+    def test_wrong_guesses_are_rejected(self, monkeypatch):
+        # a small prime makes most guesses wrong; every answer must still be
+        # the exact one, so the certificate has to refuse them
+        rng = random.Random(83)
+        blocks = [cfe_periodic(random_surd(rng, max_d=10**4)) for _ in range(150)]
+        for _ in range(60):
+            k = rng.randint(10**20, 10**21)
+            d = rng.choice((k * k + 1, k * k + 2, k * k - 1, k * k + k, 4 * k * k + 4))
+            assert len(str(d)) >= 40
+            blocks.append(cfe_periodic(normalize(-math.isqrt(d), 1, 1, d)))
+        for _ in range(60):
+            period = tuple(rng.randint(1, 10**rng.randint(1, 22)) for _ in range(rng.randint(1, 4)))
+            if is_primitive(period):
+                blocks.append(PeriodicCFE((rng.randint(1, 9),) if period[-1] > 9 else (), period))
+        assert any(len(e.period) <= 2 and e.initial == () for e in blocks[150:210])
+        want = [_sequential_surd_from_cfe(e) for e in blocks]
+        verdicts = []
+        certified = cfe._certified
+
+        def spy(*args):
+            verdicts.append(certified(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(cfe, "_FOLD_MOD", 10007)
+        monkeypatch.setattr(cfe, "_GUESS_FROM", 0)
+        monkeypatch.setattr(cfe, "_certified", spy)
+        assert [surd_from_cfe(e) for e in blocks] == want
+        assert verdicts.count(False) > 20 and verdicts.count(True) > 0
+
+    def test_certificate(self):
+        # (A, B, C) stands for the root of A*y^2 + B*y - C in (0, 1)
+        assert cfe._certified(1, 1, 1, (1,))  # the golden ratio's (1)
+        # sqrt(3) - 1 = [0; 1, 2, 1, 2, ...]: under the period (1) its first
+        # quotient matches, but the state does not come back
+        assert cfe._certified(1, 2, 2, (1, 2))
+        assert not cfe._certified(1, 2, 2, (1,))
+        assert not cfe._certified(1, 2, 2, (2, 1))  # first quotient differs
+        assert not cfe._certified(1, 1, 2, (1, 1))  # y = 1: the square discriminant 9
+        assert not cfe._certified(1, -1, 1, (1,))  # reciprocal below 1: not reduced
+
+    def test_large_answer_falls_back(self, monkeypatch):
+        # random entries make coefficients as large as the fold: no
+        # reconstruction fits, and the exact tree answers
+        rng = random.Random(89)
+        e = PeriodicCFE((), tuple(rng.randint(1, 9) for _ in range(_GUESS_FROM + 1)))
+        want = _sequential_surd_from_cfe(e)
+        n = len(e.period)
+        calls = _fold_spy(monkeypatch)
+        assert surd_from_cfe(e) == want
+        assert (0, n, _FOLD_MOD) in calls and (0, n, 0) in calls
 
 
 class TestSympyOracle:

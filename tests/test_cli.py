@@ -1,5 +1,7 @@
+import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import sys
 import pytest
 
 import cuntzfrac
-from cuntzfrac import equivalence, families
+from cuntzfrac import cfe_periodic, equivalence, families, format_block, normalize
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
 
@@ -401,3 +403,45 @@ class TestParserExits:
         with pytest.raises(SystemExit) as exc:
             main(["expand", GOLDEN])
         assert exc.value.code == 2
+
+
+class TestStdinLiteral:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "(-1+1*sqrt(3))/1", "--periodic"),
+        ("expand", "(-4+1*sqrt(37))/3", "--terms", "7", "--format", "json"),
+        ("solve", "2,1,(3,1,4)"),
+        ("solve", "(1,2,3)", "--format", "json", "--approx", "12"),
+        ("classify", "(-1+1*sqrt(3))/1"),
+        ("tau", "(-4+1*sqrt(37))/3", "--approx", "9"),
+        ("equiv", GOLDEN, "(-1+1*sqrt(2))/1"),
+        ("equiv", "(-1+1*sqrt(2))/1", "(-2+1*sqrt(8))/2", "--format", "json"),
+        ("solve", "(1,"),
+        ("classify", "(1+1*sqrt(5))/2"),
+    ])
+    def test_dash_reads_the_literal_from_stdin(self, capsys, monkeypatch, argv):
+        want = run(capsys, *argv)
+        literals = [i for i, a in enumerate(argv[1:3], 1) if not a.startswith("-")]
+        for i in literals:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(f"  {argv[i]}\n"))
+            assert run(capsys, *argv[:i], "-", *argv[i + 1:]) == want
+
+    def test_equiv_reads_stdin_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(GOLDEN))
+        code, out, err = run(capsys, "equiv", "-", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+
+    def test_block_longer_than_an_argument(self, capsys):
+        # the block of sqrt(89151474086), about 10**5 quotients, is more text
+        # than one command-line argument may hold (128 KiB on Linux)
+        d = 89151474086
+        block = format_block(cfe_periodic(normalize(-math.isqrt(d), 1, 1, d)))
+        assert len(block.encode()) > 128 * 1024
+        want = run(capsys, "solve", block)
+        assert want[0] == 0
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuntzfrac.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "cuntzfrac.cli", "solve", "-"],
+            input=block, capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == want

@@ -55,6 +55,30 @@ def test_primitive_root_length():
     assert primitive_root_length((1, 2, 1)) == 3
 
 
+def _border_root_length(w):
+    # oracle: the shortest period n - f[-1] is the root length when it divides n
+    p = len(w) - failure_function(w)[-1]
+    return p if len(w) % p == 0 else len(w)
+
+
+def test_primitive_root_length_matches_border_table():
+    for n in range(1, 13):
+        for w in itertools.product((1, 2), repeat=n):
+            assert primitive_root_length(w) == _border_root_length(w)
+    rng = random.Random(73)
+    for _ in range(2000):
+        u = tuple(rng.randint(1, rng.choice((1, 2, 3, 9))) for _ in range(rng.randint(1, 30)))
+        w = u * rng.choice((1, 2, 3, 4, 6, 8, 12, 30, 49))
+        if rng.random() < 0.3:  # an almost-power: one symbol changed
+            i = rng.randrange(len(w))
+            w = w[:i] + (w[i] % 9 + 1,) + w[i + 1:]
+        assert primitive_root_length(w) == _border_root_length(w)
+    # many distinct prime factors of the length: 72072 = 2^3 * 3^2 * 7 * 11 * 13
+    u = tuple(rng.randint(1, 9) for _ in range(72072 // (4 * 3 * 7 * 13)))
+    for w in (u * (4 * 3 * 7 * 13), tuple(rng.randint(1, 9) for _ in range(72072))):
+        assert primitive_root_length(w) == _border_root_length(w)
+
+
 def test_failure_function():
     assert failure_function((1, 2, 1, 2, 1)) == [0, 0, 1, 2, 3]
     assert failure_function((1,)) == [0]
