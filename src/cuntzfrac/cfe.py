@@ -263,9 +263,13 @@ def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
 
 def _certified(a: int, b: int, c: int, period: Word) -> bool:
     # does the root of a*y^2 + b*y - c in (0, 1) have the purely periodic
-    # expansion (period)?  Its reciprocal (b + sqrt(D))/(2c) must be reduced,
-    # read the period quotient by quotient and come back to itself; a purely
-    # periodic number is fixed by its period, so True is a proof
+    # expansion (period)?  Its reciprocal (b + sqrt(D))/(2c), c > 0, must read
+    # the period quotient by quotient and come back to itself: the root is
+    # then a positive fixed point of the period's map, which is the purely
+    # periodic number, so True is a proof.  A square D would reach Q = 0; the
+    # reduced test only rejects early, since from a reduced state every Q
+    # stays positive and each k is the true quotient.  The step is
+    # cfe_periodic's, inline like there: a call per quotient costs
     d = b * b + 4 * a * c
     sd = math.isqrt(d)
     p, q, q_prev = b, 2 * c, 2 * a

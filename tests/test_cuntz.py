@@ -259,9 +259,10 @@ class TestLabelAction:
                     want_ops.append(minimal_period_normalize(u.left + initial, period))
 
         def refuse(w):
-            raise AssertionError("KMP run on a label path")
+            raise AssertionError("primitivity tested on a label path")
 
         monkeypatch.setattr("cuntzfrac.words.failure_function", refuse)
+        monkeypatch.setattr("cuntzfrac.words.primitive_root_length", refuse)
         assert [[label_cons(i, w) for w in labels] for i in range(1, 5)] == want_cons
         assert [sigma_shift(w) for w in labels] == want_shift
         assert [apply_word_op(u, w) for u in ops for w in labels] == want_ops
