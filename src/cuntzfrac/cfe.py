@@ -21,7 +21,6 @@ from .surds import (
     UnimodularMatrix,
     _json_int,
     _require_omega,
-    in_omega,
     mobius_apply,
     normalize,
     unlimited_digits,
@@ -186,14 +185,19 @@ def minimal_period_normalize(initial: Word, period: Word) -> PeriodicCFE:
 
 
 def _canonical(initial: Word, period: Word) -> PeriodicCFE:
-    # trusted: int tuples >= 1, period nonempty; the k trailing symbols of the
-    # initial block that the period repeats fold in as one rotation by k
-    n = words.primitive_root_length(period)
+    # trusted: int tuples >= 1, period nonempty
+    return _fold_in(initial, period[: words.primitive_root_length(period)])
+
+
+def _fold_in(initial: Word, period: Word) -> PeriodicCFE:
+    # trusted: int tuples >= 1, period primitive; the k trailing symbols of
+    # the initial block that the period repeats fold in as one rotation by k
+    n = len(period)
     k = 0
     while k < len(initial) and initial[-1 - k] == period[n - 1 - k % n]:
         k += 1
     r = n - k % n
-    return PeriodicCFE._trusted(initial[: len(initial) - k], period[r:n] + period[:r])
+    return PeriodicCFE._trusted(initial[: len(initial) - k], period[r:] + period[:r])
 
 
 def sigma_shift(e: PeriodicCFE) -> PeriodicCFE:
@@ -263,17 +267,16 @@ def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
 
 def _certified(a: int, b: int, c: int, period: Word) -> bool:
     # does the root of a*y^2 + b*y - c in (0, 1) have the purely periodic
-    # expansion (period)?  Its reciprocal (b + sqrt(D))/(2c), c > 0, must read
-    # the period quotient by quotient and come back to itself: the root is
-    # then a positive fixed point of the period's map, which is the purely
-    # periodic number, so True is a proof.  A square D would reach Q = 0; the
-    # reduced test only rejects early, since from a reduced state every Q
-    # stays positive and each k is the true quotient.  The step is
-    # cfe_periodic's, inline like there: a call per quotient costs
+    # expansion (period)?  Its reciprocal (b + sqrt(D))/(2c) is positive, as
+    # a, c > 0 make sqrt(D) > |b|; if it reads the period quotient by quotient
+    # and comes back, it is a positive fixed point of the period's map, which
+    # fixes only the purely periodic number: True is a proof, reduced start or
+    # not.  A square D is refused, which keeps every Q nonzero (Q*Q' = D - P'^2).
+    # The step is cfe_periodic's, inline: a call per quotient costs about 40% more
     d = b * b + 4 * a * c
     sd = math.isqrt(d)
     p, q, q_prev = b, 2 * c, 2 * a
-    if sd * sd == d or not (0 < p <= sd and sd - p < q <= sd + p):
+    if sd * sd == d:
         return False
     for want in period:
         k = (p + sd) // q
@@ -335,9 +338,8 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
         abc = r // g, (s - p) // g, q // g
     rr, bb, qq = abc
     disc = bb * bb + 4 * rr * qq
+    # rr, qq > 0: the roots have opposite signs, and the positive one is in (0, 1)
     y = normalize(-bb, 1, 2 * rr, disc)
-    if not in_omega(y):
-        y = normalize(-bb, -1, 2 * rr, disc)
     if e.initial:
         y = mobius_apply(UnimodularMatrix(*_fold(e.initial, 0, len(e.initial))), y)
     return y

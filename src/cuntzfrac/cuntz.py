@@ -16,6 +16,7 @@ from . import words
 from .cfe import (
     PeriodicCFE,
     _check_quotients,
+    _fold_in,
     block_prefix,
     cfe_expand,
     cfe_periodic,
@@ -203,18 +204,21 @@ def label_cons(i: int, label: PeriodicCFE) -> PeriodicCFE:
 
 
 def apply_word_op(u: WordOperator, label: PeriodicCFE) -> PeriodicCFE | None:
-    """Image of a basis label under s_A s_B*; None when annihilated."""
+    """Image of a basis label under s_A s_B*; None when annihilated.  B drops
+    as one slice or one rotation of the period and A folds in front once, in
+    time linear in the label."""
     if u.zero:
         return None
+    if not u.left and not u.right:
+        return label
     k = len(u.right)
-    if k:
-        if block_prefix(label, k) != u.right:
-            return None
-        for _ in range(k):
-            label = sigma_shift(label)
-    for sym in reversed(u.left):
-        label = label_cons(sym, label)
-    return label
+    if block_prefix(label, k) != u.right:
+        return None
+    p = label.period
+    if k > len(label.initial):
+        m = (k - len(label.initial)) % len(p)
+        p = p[m:] + p[:m]
+    return _fold_in(u.left + label.initial[k:], p)
 
 
 class LabelSpace:
@@ -308,18 +312,17 @@ def verify_cuntz_relations(depth: int, alphabet: int) -> list[CheckEntry]:
     base = sorted(LabelSpace.full(depth, alphabet), key=str)
     bad: list[CheckEntry] = []
 
-    images: dict[int, set[PeriodicCFE]] = {}
+    # images[i] maps label_cons(i, w) back to w
+    images: dict[int, dict[PeriodicCFE, PeriodicCFE]] = {}
     for i in range(1, alphabet + 1):
-        img = set()
-        for w in base:
-            img.add(label_cons(i, w))
+        img = {label_cons(i, w): w for w in base}
         if len(img) != len(base):
             bad.append(CheckEntry("branch-injective", f"i={i}", "fail"))
         images[i] = img
 
     for i in range(1, alphabet + 1):
         for j in range(i + 1, alphabet + 1):
-            overlap = images[i] & images[j]
+            overlap = images[i].keys() & images[j].keys()
             if overlap:
                 witness = min(overlap, key=str)
                 bad.append(
@@ -331,8 +334,8 @@ def verify_cuntz_relations(depth: int, alphabet: int) -> list[CheckEntry]:
             bad.append(CheckEntry("branch-cover", f"label={w}", "fail"))
 
     for i in range(1, alphabet + 1):
-        for w in base:
-            if sigma_shift(label_cons(i, w)) != w:
+        for v, w in images[i].items():
+            if sigma_shift(v) != w:
                 bad.append(CheckEntry("shift-section", f"i={i},label={w}", "fail"))
 
     for i in range(1, alphabet + 1):
@@ -361,6 +364,7 @@ def orbit_decompose(space) -> dict[Cycle, frozenset[PeriodicCFE]]:
     return {Cycle(k): frozenset(v) for k, v in buckets.items()}
 
 
+@unlimited_digits
 def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     """Verify the cyclic fixed vector of a primitive word symbolically.
 
@@ -373,24 +377,16 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     v = PeriodicCFE._trusted((), j)
     entries = []
 
-    w = v
-    fixed = True
+    s_j, w = WordOperator(j, ()), v
     for _ in range(max(1, depth)):
-        for sym in reversed(j):
-            w = label_cons(sym, w)
+        w = apply_word_op(s_j, w)
         if w != v:
-            fixed = False
             break
     entries.append(
-        CheckEntry("gp-fixed-point", f"J=({name})", "pass" if fixed else "fail")
+        CheckEntry("gp-fixed-point", f"J=({name})", "pass" if w == v else "fail")
     )
 
-    cycle_labels = set()
-    for start in range(len(j)):
-        lab = v
-        for sym in reversed(j[start:]):
-            lab = label_cons(sym, lab)
-        cycle_labels.add(lab)
+    cycle_labels = {apply_word_op(WordOperator(j[start:], ()), v) for start in range(len(j))}
     distinct = len(cycle_labels) == len(j)
     entries.append(
         CheckEntry(
@@ -402,6 +398,7 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     return entries
 
 
+@unlimited_digits
 def cycle_dft_split(j0: Word, n: int) -> list[CheckEntry]:
     """Split the n-fold cycle over a primitive word into eigenvectors.
 

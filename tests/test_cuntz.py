@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -47,6 +48,14 @@ def random_op(rng):
     if rng.random() < 0.05:
         return ZERO
     return WordOperator(random_word(rng), random_word(rng))
+
+
+def rest(w, k):
+    # the label with its first k symbols dropped, as (initial, period)
+    if k <= len(w.initial):
+        return w.initial[k:], w.period
+    m = (k - len(w.initial)) % len(w.period)
+    return (), w.period[m:] + w.period[:m]
 
 
 def random_label(rng):
@@ -125,6 +134,12 @@ class TestHugeEntries:
         assert str(Chain((big,))) == f"P({digits},...)"
         assert str(WordOperator((big,), ())) == f"s[{digits}]"
         assert str(WordOperator((2,), (big,))) == f"s[2]s[{digits}]*"
+        assert [e.instance for e in gp_vector_check((big,))] == [
+            f"J=({digits})", f"J=({digits}),labels=1/1"]
+        assert [e.verdict for e in gp_vector_check((big,))] == ["pass", "pass"]
+        split = cycle_dft_split((big,), 2)
+        assert split[0].instance == f"J0=({digits}),n=2,r=0,s=1"
+        assert split[-1].instance == f"J=({digits})^2"
         assert limit() == before
 
 
@@ -234,17 +249,12 @@ class TestLabelAction:
         assert label_cons(2, v) == PeriodicCFE((), (2, 1))
 
     def test_canonical_by_rule_without_kmp(self, monkeypatch):
-        # prepending and shifting keep labels canonical by an O(1) rule, so the
-        # label paths never search for a primitive root
+        # a label's period is already primitive and stays so under rotation:
+        # prepending and shifting keep labels canonical by an O(1) rule, and the
+        # word action by one fold of A into that period, so the label paths
+        # never search for a primitive root
         labels = sorted(LabelSpace.full(5, 3), key=str)
         ops = [WordOperator(a, b) for a in ((), (1,), (3, 1)) for b in ((), (2,), (1, 2, 1))]
-
-        def rest(w, k):
-            # the label with its first k symbols dropped, as (initial, period)
-            if k <= len(w.initial):
-                return w.initial[k:], w.period
-            m = (k - len(w.initial)) % len(w.period)
-            return (), w.period[m:] + w.period[:m]
 
         want_cons = [[minimal_period_normalize((i,) + w.initial, w.period) for w in labels]
                      for i in range(1, 5)]
@@ -266,6 +276,66 @@ class TestLabelAction:
         assert [[label_cons(i, w) for w in labels] for i in range(1, 5)] == want_cons
         assert [sigma_shift(w) for w in labels] == want_shift
         assert [apply_word_op(u, w) for u in ops for w in labels] == want_ops
+
+    def test_one_fold_per_word_action(self, monkeypatch):
+        # s_A s_B* drops B and folds A in once: one label built per call that
+        # neither annihilates nor is the identity, and no per-symbol rule
+        built = []
+        trusted, post_init = PeriodicCFE._trusted.__func__, PeriodicCFE.__post_init__
+
+        def spy_trusted(cls, initial, period):
+            built.append(1)
+            return trusted(cls, initial, period)
+
+        def spy_post_init(self):
+            built.append(1)
+            post_init(self)
+
+        def refuse(*args):
+            raise AssertionError("per-symbol rule in the word action")
+
+        rng = random.Random(61)
+        cases = [(random_op(rng), random_label(rng)) for _ in range(400)]
+        cases += [(WordOperator((2, 1), block_prefix(w, 9)), w) for _, w in cases[:50]]
+        want = [apply_word_op(u, w) for u, w in cases]
+        monkeypatch.setattr(PeriodicCFE, "_trusted", classmethod(spy_trusted))
+        monkeypatch.setattr(PeriodicCFE, "__post_init__", spy_post_init)
+        for name in ("cuntzfrac.cuntz.sigma_shift", "cuntzfrac.cuntz.label_cons",
+                     "cuntzfrac.cfe.sigma_shift"):
+            monkeypatch.setattr(name, refuse)
+        counts = {None: 0, "identity": 0, "built": 0}
+        for (u, w), image in zip(cases, want):
+            del built[:]
+            assert apply_word_op(u, w) == image
+            if image is None:
+                kind = None
+            elif not u.left and not u.right:
+                kind = "identity"
+            else:
+                kind = "built"
+            assert len(built) == (kind == "built")
+            counts[kind] += 1
+        assert min(counts.values()) > 0
+
+    def test_long_label(self):
+        # period 2*10^4: B is the initial block and half the period, A ends in
+        # the tail of the period left after B, so the fold takes most of A in
+        rng = random.Random(67)
+        period = tuple(rng.randint(1, 9) for _ in range(19_999)) + (10,)
+        w = PeriodicCFE((4, 1, 7), period)
+        b = block_prefix(w, 3 + 10_000)
+        initial, rotated = rest(w, len(b))
+        a = (5, 11) + rotated[-7_000:]
+        u = WordOperator(a, b)
+        want = minimal_period_normalize(a + initial, rotated)
+        start = time.perf_counter()
+        got = apply_word_op(u, w)
+        elapsed = time.perf_counter() - start
+        assert got == want
+        assert got.initial == (5, 11) and len(got.period) == 20_000
+        # linear in the label: well under a millisecond here, where a rule
+        # applied per symbol of A and B copies the period about 17,000 times
+        assert elapsed < 0.25
 
 
 class TestLabelSpace:
@@ -295,6 +365,18 @@ class TestLabelSpace:
 class TestRelationChecks:
     def test_no_violations_small(self):
         assert verify_cuntz_relations(3, 3) == []
+
+    def test_one_image_per_generator_and_label(self, monkeypatch):
+        # the disjoint, cover and shift-section checks reuse the images
+        calls = []
+
+        def spy(i, w):
+            calls.append((i, w))
+            return label_cons(i, w)
+
+        monkeypatch.setattr("cuntzfrac.cuntz.label_cons", spy)
+        assert verify_cuntz_relations(4, 3) == []
+        assert len(calls) == len(set(calls)) == 3 * len(LabelSpace.full(4, 3))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -349,6 +431,18 @@ class TestGPVector:
     def test_rejects_powers(self):
         with pytest.raises(NotPrimitive):
             gp_vector_check((1, 1))
+
+    def test_long_word_through_the_word_action(self, monkeypatch):
+        # s_J and each s_{J[start:]} act through apply_word_op, one fold each
+        def refuse(*args):
+            raise AssertionError("per-symbol rule in the fixed-vector check")
+
+        monkeypatch.setattr("cuntzfrac.cuntz.label_cons", refuse)
+        rng = random.Random(71)
+        j = tuple(rng.randint(1, 5) for _ in range(1_199)) + (6,)
+        entries = gp_vector_check(j)
+        assert [e.verdict for e in entries] == ["pass", "pass"]
+        assert entries[1].instance.endswith(",labels=1200/1200")
 
 
 class TestCycleSplit:
