@@ -11,7 +11,6 @@ size of the state.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 from . import words
@@ -27,6 +26,11 @@ from .surds import (
 )
 
 Word = words.Word
+
+# cfe_periodic reflects a symmetric cycle only after this many reduced steps,
+# so a cycle that comes back sooner pays for no slices; a larger value walks
+# more of each mid-length cycle before it reflects
+_REFLECT_FROM = 8
 
 
 def _check_quotients(w: Word, what: str = "partial quotients") -> None:
@@ -147,6 +151,18 @@ def cfe_periodic(x: QuadraticSurd) -> PeriodicCFE:
     state is reduced too, and the number of steps until that state comes back
     is the primitive period.  The block is canonical as it stands, and beside
     the quotients themselves the loop keeps O(1) state.
+
+    Many periods are symmetric: every period of sqrt(d), and every cycle of an
+    ambiguous class.  With Q_prev * Q = D - P*P, the swapped state
+    (P + sqrt(D))/Q_prev is -1/conj(x) and expands to the quotients before x
+    in reverse, so a step of the reduced walk is a centre exactly when it
+    keeps P (at step k, a[k+j] = a[k-j]) or keeps Q (a[k+1+j] = a[k-j]).  A
+    symmetric cycle has two centres, half a period apart.  The walk stops at
+    the first centre after the start; the same step run on the swapped start
+    (P, Q_prev), with Q as its predecessor, walks backward to the centre
+    before it, and one reflection of the window between them gives the whole
+    period in about half of its steps.  A cycle with no centre is walked to
+    its return, and so is one that comes back within _REFLECT_FROM steps.
     """
     _require_omega(x)
     p, q, q_prev, d = _reciprocal_state(x)
@@ -159,15 +175,50 @@ def cfe_periodic(x: QuadraticSurd) -> PeriodicCFE:
         q, q_prev = q_prev + a * (p - p_next), q
         p = p_next
     start = len(quotients)
-    p0, q0 = p, q
+    p0, q0, q_back = p, q, q_prev
     while True:
         a = (p + sd) // q  # q > 0 in every reduced state
         quotients.append(a)
         p_next = a * q - p
         q, q_prev = q_prev + a * (p - p_next), q
-        p = p_next
-        if p == p0 and q == q0:
+        # the return is tested first, so a one-quotient cycle never reflects
+        if p_next == p0 and q == q0:
+            return PeriodicCFE._trusted(tuple(quotients[:start]), tuple(quotients[start:]))
+        if p_next == p or q == q_prev:
             break
+        p = p_next
+    # a centre that keeps P sits on a quotient, which its reflection must not
+    # repeat; one that keeps Q sits between two quotients
+    centre, fwd_on_quotient = len(quotients), p_next == p
+    # a cycle that comes back within _REFLECT_FROM steps is walked to its
+    # return, which costs less than reflecting it
+    while len(quotients) - start < _REFLECT_FROM:
+        p = p_next
+        a = (p + sd) // q
+        quotients.append(a)
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        if p_next == p0 and q == q0:
+            return PeriodicCFE._trusted(tuple(quotients[:start]), tuple(quotients[start:]))
+    del quotients[centre:]
+    back: list[int] = []
+    p, q, q_prev = p0, q_back, q0
+    back_on_quotient = False
+    while q != q_prev:  # keeps Q; before any step, the centre between the two walks
+        a = (p + sd) // q
+        back.append(a)
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        if p_next == p:
+            back_on_quotient = True
+            break
+        p = p_next
+    # the period from the start: forward to the centre, back by reflection,
+    # on through the quotients walked backward (they continue the reflection),
+    # and by reflecting those about the other centre back to the start
+    quotients += reversed(quotients[start : len(quotients) - fwd_on_quotient])
+    quotients += back[: len(back) - back_on_quotient]
+    quotients += reversed(back)
     return PeriodicCFE._trusted(tuple(quotients[:start]), tuple(quotients[start:]))
 
 
@@ -348,9 +399,6 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
-_BLOCK_RE = re.compile(r"^(?:(\d+(?:,\d+)*),)?\((\d+(?:,\d+)*)\)$")
-
-
 @unlimited_digits
 def format_block(e: PeriodicCFE) -> str:
     period = "(" + ",".join(map(str, e.period)) + ")"
@@ -361,14 +409,19 @@ def format_block(e: PeriodicCFE) -> str:
 
 @unlimited_digits
 def parse_block(text: str) -> PeriodicCFE:
-    """Parse `2,1,(3,1,4)` or `(1,2,3)`; the result is canonicalized."""
-    m = _BLOCK_RE.match(re.sub(r"\s+", "", text))
-    if not m:
+    """Parse `2,1,(3,1,4)` or `(1,2,3)`; the result is canonicalized.
+
+    Whitespace (str.isspace) is dropped anywhere; every entry is a nonempty
+    run of decimal digits (str.isdecimal).
+    """
+    head, _, body = "".join(text.split()).partition("(")
+    first = head[:-1].split(",") if head else []
+    rest = body[:-1].split(",")
+    if head[-1:] not in ("", ",") or body[-1:] != ")" or not all(map(str.isdecimal, first + rest)):
         raise ParseError(f"not a block literal: {text!r}")
-    head, body = m.groups()
-    initial = tuple(map(int, head.split(","))) if head else ()
-    period = tuple(map(int, body.split(",")))
-    if 0 in initial or 0 in period:  # \d+ admits no other bad value
+    initial = tuple(map(int, first))
+    period = tuple(map(int, rest))
+    if 0 in initial or 0 in period:  # decimal digits admit no other bad value
         raise ParseError(f"partial quotients must be >= 1: {text!r}")
     return _canonical(initial, period)
 

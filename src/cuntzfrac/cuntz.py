@@ -146,13 +146,22 @@ class WordOperator:
             raise ValueError("the zero operator carries no words")
         _check_quotients(self.left + self.right, "generator indices")
 
+    @classmethod
+    def _trusted(cls, left: Word, right: Word) -> "WordOperator":
+        # for words whose indices are already checked: skips __post_init__
+        u = object.__new__(cls)
+        object.__setattr__(u, "left", left)
+        object.__setattr__(u, "right", right)
+        object.__setattr__(u, "zero", False)
+        return u
+
     def __mul__(self, other: "WordOperator") -> "WordOperator":
         return word_op_mul(self, other)
 
     def adjoint(self) -> "WordOperator":
         if self.zero:
             return self
-        return WordOperator(self.right, self.left)
+        return WordOperator._trusted(self.right, self.left)
 
     @unlimited_digits
     def __str__(self) -> str:
@@ -179,9 +188,9 @@ def word_op_mul(u: WordOperator, v: WordOperator) -> WordOperator:
         return ZERO
     b, c = u.right, v.left
     if c[: len(b)] == b:
-        return WordOperator(u.left + c[len(b):], v.right)
+        return WordOperator._trusted(u.left + c[len(b):], v.right)
     if b[: len(c)] == c:
-        return WordOperator(u.left, v.right + b[len(c):])
+        return WordOperator._trusted(u.left, v.right + b[len(c):])
     return ZERO
 
 
@@ -386,7 +395,10 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
         CheckEntry("gp-fixed-point", f"J=({name})", "pass" if w == v else "fail")
     )
 
-    cycle_labels = {apply_word_op(WordOperator(j[start:], ()), v) for start in range(len(j))}
+    # s_j checked the indices of j once; its suffixes need no second check
+    cycle_labels = {
+        apply_word_op(WordOperator._trusted(j[start:], ()), v) for start in range(len(j))
+    }
     distinct = len(cycle_labels) == len(j)
     entries.append(
         CheckEntry(

@@ -158,21 +158,33 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
 def _peel(m: int, h: int, s: int, f: int) -> tuple[int, int, int]:
     # h is the product of some primes of m, each once; divides them out of m
-    # with their exponents, the square part into s and the odd part into f
-    m //= h
-    k = 1
-    while h > 1:
-        # h is the product of the primes of exponent >= k in the cofactor,
-        # and m has had each of them divided out k times
-        deeper = math.gcd(m, h)
-        exact = h // deeper
-        s *= exact ** (k // 2)
-        if k % 2:
-            f *= exact
-        m //= deeper
-        h = deeper
-        k += 1
-    return m, s, f
+    # with their exponents, the square part into s and the odd part into f.
+    # Level j >= 1 holds g, the primes of exponent >= 2**j, beside
+    # t = g**(2**j); squaring t finds the top level, whose primes all have
+    # that bit set in their exponent, and each level below divides out
+    # p**(2**j) from the primes of g with bit j set.  So the gcd count is
+    # logarithmic in the exponents, not linear
+    g = math.gcd(m // h, h)  # level 1: the primes of exponent >= 2
+    if g == 1:  # every exponent is 1 (or h is 1), the common case
+        return m // h, s, f * h
+    levels = [(g, g * g)]
+    while True:
+        g, t = levels[-1]
+        t *= t
+        # the primes of g whose power in t still divides m
+        deeper = g // math.gcd(g, t // math.gcd(m, t))
+        if deeper == 1:
+            break
+        levels.append((deeper, t if deeper == g else deeper ** (2 << len(levels))))
+    for j in range(len(levels), 0, -1):
+        g, t = levels[j - 1]
+        if j < len(levels):  # at the top level every prime of g has bit j set
+            g //= math.gcd(g, t // math.gcd(m, t))
+        half = g ** (1 << (j - 1))
+        s *= half
+        m //= half * half
+    g = math.gcd(m, h)  # bit 0: each prime of h is left at most once
+    return m // g, s, f * g
 
 
 @lru_cache(maxsize=4096)
@@ -182,10 +194,10 @@ def squarefree_split(n: int) -> tuple[int, int]:
     A gcd with the product of the primes below 1,000 comes first.  A cofactor
     m below 10**18 is then split by gcds alone: h = gcd(m, product of the
     primes p >= 1,000 with p**3 <= m) holds each prime of m up to its cube
-    root once, and gcds of h with what is left of m read off which primes
-    have exponent exactly 1, 2, ...  The rest has every prime factor above
-    the cube root of m, so it is 1, p, p*p or p*q, and one integer square
-    root decides which.  No prime is ever found and no primality test runs.
+    root once, and gcds of m with h, h**2, h**4, ... read off their
+    exponents bit by bit.  The rest has every prime factor above the cube
+    root of m, so it is 1, p, p*p or p*q, and one integer square root
+    decides which.  No prime is ever found and no primality test runs.
     Cofactors of 10**18 and above go to Miller-Rabin and Pollard-Brent.
     """
     if n < 1:
@@ -363,10 +375,6 @@ def _sign_linear(a: int, b: int, d: int) -> int:
             return 1
         return 1 if b * b * d > a * a else -1
     return -_sign_linear(-a, -b, d)
-
-
-def sign_of(x: QuadraticSurd) -> int:
-    return _sign_linear(x._a, x._b, x._d)
 
 
 def cmp_int(x: QuadraticSurd, k: int) -> int:

@@ -582,3 +582,254 @@ class TestExpansionWithoutPQState:
 
         monkeypatch.setattr("cuntzfrac.cfe.PQState", refuse)
         assert [(cfe_expand(x, 25), cfe_periodic(x)) for x in xs] == want
+
+
+# ---------------------------------------------------------------------------
+# the half walk: the full walk of the reduced cycle, as cfe_periodic did it
+# before symmetric periods were reflected, is kept here as the oracle
+
+
+def _full_walk_periodic(x):
+    """Every step of the reduced cycle until its first state comes back."""
+    p, q, q_prev, d = cfe._reciprocal_state(x)
+    sd = math.isqrt(d)
+    quotients = []
+    while not (0 < p <= sd and sd - p < q <= sd + p):
+        a = cfe._floor_pq(p, q, sd)
+        quotients.append(a)
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        p = p_next
+    start = len(quotients)
+    p0, q0 = p, q
+    while True:
+        a = (p + sd) // q
+        quotients.append(a)
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        p = p_next
+        if p == p0 and q == q0:
+            break
+    return PeriodicCFE(tuple(quotients[:start]), tuple(quotients[start:]))
+
+
+def _centres(w):
+    """Index sums c with w[i] == w[c - i] for all i, modulo twice the length:
+    even c sits on a quotient, odd c between two."""
+    n = len(w)
+    return [c for c in range(2 * n) if all(w[i] == w[(c - i) % n] for i in range(n))]
+
+
+def _with_initial(initial, x):
+    m = UnimodularMatrix.identity()
+    for a in initial:
+        m = m @ cfe_step_matrix(a)
+    return mobius_apply(m, x)
+
+
+def _sqrt_part(d):
+    return normalize(-math.isqrt(d), 1, 1, d)
+
+
+def _starts_on_a_centre(x):
+    # Q_prev == Q at the first reduced state: the centre between the walks
+    p, q, q_prev, d = cfe._reciprocal_state(x)
+    sd = math.isqrt(d)
+    assert 0 < p <= sd and sd - p < q <= sd + p, "purely periodic x only"
+    return q == q_prev
+
+
+class _CountedRoot(int):
+    """isqrt(D) that counts reduced steps: each one adds it to P exactly once."""
+
+    steps = 0
+
+    def __radd__(self, other):
+        _CountedRoot.steps += 1
+        return int(other) + int(self)
+
+
+class _CountingMath:
+    @staticmethod
+    def isqrt(d):
+        return _CountedRoot(math.isqrt(d))
+
+
+def _count_steps(monkeypatch):
+    monkeypatch.setattr(cfe, "math", _CountingMath)
+    _CountedRoot.steps = 0
+
+
+@pytest.fixture(params=[1, cfe._REFLECT_FROM], ids=["reflect-at-once", "reflect-from-default"])
+def reflect_from(request, monkeypatch):
+    # at 1 every symmetric cycle reflects, so short ones exercise it too
+    monkeypatch.setattr(cfe, "_REFLECT_FROM", request.param)
+    return request.param
+
+
+@pytest.mark.usefixtures("reflect_from")
+class TestHalfWalk:
+    def test_sqrt_with_initial_blocks(self):
+        # every period of sqrt(d) is symmetric; initial blocks of 0 to 3 entries
+        # put the start of the reduced walk anywhere relative to the centres
+        rng = random.Random(211)
+        ds = [d for d in range(2, 700) if math.isqrt(d) ** 2 != d]
+        ds += [rng.randrange(10**6, 10**9) for _ in range(60)]
+        for d in ds:
+            if math.isqrt(d) ** 2 == d:
+                continue
+            for k in range(4):
+                x = _with_initial(tuple(rng.randint(1, 9) for _ in range(k)), _sqrt_part(d))
+                assert cfe_periodic(x) == _full_walk_periodic(x)
+
+    def test_reflected_periods(self):
+        # w + reverse(w) and w + reverse(w)[1:], every rotation of them (starts
+        # on both sides of a centre and on one), with and without an initial
+        # block; both centre kinds, odd and even lengths
+        rng = random.Random(223)
+        kinds, lengths, on_centre = set(), set(), 0
+        for _ in range(400):
+            w = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 7)))
+            for period in (w + w[::-1], w + w[::-1][1:]):
+                if not is_primitive(period):
+                    continue
+                kinds.update(c % 2 for c in _centres(period))
+                lengths.add(len(period) % 2)
+                for r in range(len(period)):
+                    rotated = period[r:] + period[:r]
+                    x = surd_from_cfe(PeriodicCFE((), rotated))
+                    on_centre += _starts_on_a_centre(x)
+                    assert cfe_periodic(x) == _full_walk_periodic(x) == PeriodicCFE((), rotated)
+                    initial = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+                    y = _with_initial(initial, x)
+                    assert cfe_periodic(y) == _full_walk_periodic(y)
+        assert kinds == {0, 1} and lengths == {0, 1} and on_centre > 200
+
+    def test_periods_of_length_one_and_two(self):
+        for period in [(a,) for a in range(1, 8)] + [
+            (a, b) for a in range(1, 8) for b in range(1, 8) if a != b
+        ]:
+            for initial in ((), (1,), (9, 2), (3, 3, 3)):
+                x = _with_initial(initial, surd_from_cfe(PeriodicCFE((), period)))
+                assert cfe_periodic(x) == _full_walk_periodic(x)
+
+    def test_cycles_without_a_centre(self):
+        rng = random.Random(227)
+        seen = 0
+        while seen < 300:
+            period = tuple(rng.randint(1, 6) for _ in range(rng.randint(3, 40)))
+            if not is_primitive(period) or _centres(period):
+                continue
+            seen += 1
+            initial = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 3)))
+            x = _with_initial(initial, surd_from_cfe(PeriodicCFE((), period)))
+            assert cfe_periodic(x) == _full_walk_periodic(x)
+
+    def test_random_and_scaled_states(self):
+        # Q need not divide D - P*P as read off x; the state is then scaled
+        rng = random.Random(229)
+        scaled = 0
+        for i in range(1500):
+            x = random_surd(rng, max_d=150 if i % 2 else 10**6)
+            scaled += _needs_scaling(x)
+            assert cfe_periodic(x) == _full_walk_periodic(x)
+        assert scaled > 300
+
+    def test_half_the_steps(self, monkeypatch, reflect_from):
+        # a symmetric cycle of n quotients takes (n + k)/2 reduced steps, k the
+        # number of its two centres that sit on a quotient, plus the steps it
+        # walks on past its first centre to reach _REFLECT_FROM; a cycle no
+        # longer than that, or with no centre, takes n
+        rng = random.Random(233)
+        cases = []
+        for _ in range(300):
+            w = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 30)))
+            period = rng.choice((w, w + w[::-1], w + w[::-1][1:], w[:1] + w + w[:1] + w[::-1]))
+            if is_primitive(period):
+                cases.append((period, surd_from_cfe(PeriodicCFE((), period))))
+        _count_steps(monkeypatch)
+        halved = 0
+        for period, x in cases:
+            _CountedRoot.steps = 0
+            assert cfe_periodic(x).period == period
+            centres = _centres(period)
+            n = len(period)
+            if n > reflect_from and n > 1 and centres:
+                halved += 1
+                first = centres[0] // 2 + 1  # steps to the first centre
+                on_quotient = sum(c % 2 == 0 for c in centres)
+                assert len(centres) == 2
+                assert _CountedRoot.steps == (n + on_quotient) // 2 + max(0, reflect_from - first)
+            else:
+                assert _CountedRoot.steps == n
+        assert halved > 100
+
+    def test_half_the_steps_at_period_1e5(self, monkeypatch):
+        # sqrt(89151474086): 100,582 quotients; the backward walk is one step
+        x = _sqrt_part(89151474086)
+        want = _full_walk_periodic(x)
+        _count_steps(monkeypatch)
+        assert cfe_periodic(x) == want
+        assert len(want.period) == 100_582
+        assert _CountedRoot.steps == 100_582 // 2 + 1
+
+
+# ---------------------------------------------------------------------------
+# parse_block: the whole-string regex it replaced is kept here as the oracle
+
+_REGEX_BLOCK = re.compile(r"^(?:(\d+(?:,\d+)*),)?\((\d+(?:,\d+)*)\)$")
+
+
+def _regex_parse_block(text):
+    m = _REGEX_BLOCK.match(re.sub(r"\s+", "", text))
+    if not m:
+        raise ParseError(f"not a block literal: {text!r}")
+    head, body = m.groups()
+    initial = tuple(map(int, head.split(","))) if head else ()
+    period = tuple(map(int, body.split(",")))
+    if 0 in initial or 0 in period:
+        raise ParseError(f"partial quotients must be >= 1: {text!r}")
+    return minimal_period_normalize(initial, period)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestParseWithoutRegex:
+    def test_space_and_digit_classes_are_the_regex_classes(self):
+        # for str patterns \s is str.isspace and \d is str.isdecimal
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+        assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+
+    def test_fuzz_against_the_regex_parser(self):
+        rng = random.Random(239)
+        noise = list("0123456789,()") + [" ", "\t", "\n", "\x1c", "٣", "²", "_", "+", "-"]
+        kinds = {"block": 0, "not a block literal": 0, "partial quotients": 0}
+        for _ in range(30_000):
+            period = [rng.choice(("0", "00", "1", "7", "01", "12", "٣"))
+                      for _ in range(rng.randint(0, 4))]
+            initial = [rng.choice(("0", "2", "002", "13", "9")) for _ in range(rng.randint(0, 3))]
+            text = ",".join(initial + ["(" + ",".join(period) + ")"])
+            chars = list(text)
+            for _ in range(rng.choice((0, 0, 1, 2, 4))):
+                at = rng.randint(0, len(chars))
+                op = rng.randrange(3)
+                if op == 0:
+                    chars.insert(at, rng.choice(noise))
+                elif chars and op == 1:
+                    del chars[min(at, len(chars) - 1)]
+                elif chars:
+                    chars[min(at, len(chars) - 1)] = rng.choice(noise)
+            text = "".join(chars)
+            want = _outcome(_regex_parse_block, text)
+            assert _outcome(parse_block, text) == want, text
+            if isinstance(want, PeriodicCFE):
+                kinds["block"] += 1
+            else:
+                kinds[next(k for k in kinds if want.startswith("ParseError: " + k))] += 1
+        assert min(kinds.values()) > 2000, kinds

@@ -37,6 +37,7 @@ from cuntzfrac import (
     verify_cuntz_relations,
     word_op_mul,
 )
+from cuntzfrac import cuntz
 from cuntzfrac.surds import DomainError
 
 
@@ -210,6 +211,23 @@ class TestWordOperator:
                 if step is not None:
                     step = apply_word_op(u, step)
                 assert via_product == step
+
+    def test_products_and_adjoints_are_trusted(self, monkeypatch):
+        # built from checked operators, they skip the check and equal the
+        # operators the validating constructor builds
+        rng = random.Random(37)
+        pairs = [(random_op(rng), random_op(rng)) for _ in range(2_000)]
+
+        def refuse(*args):
+            raise AssertionError("indices checked again")
+
+        monkeypatch.setattr(cuntz, "_check_quotients", refuse)
+        results = [(word_op_mul(u, v), u.adjoint()) for u, v in pairs]
+        monkeypatch.undo()
+        for product, adjoint in results:
+            for op in (product, adjoint):
+                assert op == (ZERO if op.zero else WordOperator(op.left, op.right))
+        assert sum(not p.zero for p, _ in results) > 200
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
@@ -431,6 +449,23 @@ class TestGPVector:
     def test_rejects_powers(self):
         with pytest.raises(NotPrimitive):
             gp_vector_check((1, 1))
+
+    def test_indices_checked_once(self, monkeypatch):
+        # s_J checks J; its suffix operators are built trusted
+        calls = []
+        check = cuntz._check_quotients
+
+        def spy(w, what="partial quotients"):
+            calls.append(len(w))
+            return check(w, what)
+
+        monkeypatch.setattr(cuntz, "_check_quotients", spy)
+        rng = random.Random(73)
+        for n in (1, 2, 40, 2_000):
+            j = tuple(rng.randint(1, 5) for _ in range(n - 1)) + (6,)
+            calls.clear()
+            assert [e.verdict for e in gp_vector_check(j)] == ["pass", "pass"]
+            assert calls == [n]
 
     def test_long_word_through_the_word_action(self, monkeypatch):
         # s_J and each s_{J[start:]} act through apply_word_op, one fold each

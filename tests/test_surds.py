@@ -336,6 +336,69 @@ def _oracle_split(n: int) -> tuple[int, int]:
 SQUAREFREE = [f for f in range(2, 400) if _oracle_split(f)[0] == 1]
 
 
+def _linear_peel(m, h, s, f):
+    """surds._peel before repeated squaring: one gcd per exponent level."""
+    m //= h
+    k = 1
+    while h > 1:
+        deeper = math.gcd(m, h)
+        exact = h // deeper
+        s *= exact ** (k // 2)
+        if k % 2:
+            f *= exact
+        m //= deeper
+        h = deeper
+        k += 1
+    return m, s, f
+
+
+class _CountingMath:
+    def __init__(self):
+        self.gcds = 0
+
+    def gcd(self, *args):
+        self.gcds += 1
+        return math.gcd(*args)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+class TestPeelBySquaring:
+    P7 = 1_000_003  # a 7-digit prime
+    # small cofactors as (c, product of the primes of c)
+    COFACTORS = ((1, 1), (5, 5), (12, 6), (45, 15), (1001, 1001), (2**3 * 3**5 * 7, 42),
+                 (999_983, 999_983), (1_000_003**2 * 11, 1_000_003 * 11))
+
+    def test_matches_the_linear_ladder(self):
+        for p in (2, 3, self.P7):
+            for e in range(1, 301):
+                for i, (c, rad) in enumerate(self.COFACTORS):
+                    # every prime of n at once, or p alone on top of a partial split
+                    n = p**e * c
+                    h, s, f = (math.lcm(p, rad), 1, 1) if (e + i) % 2 else (p, 5, 7)
+                    assert surds._peel(n, h, s, f) == _linear_peel(n, h, s, f), (p, e, c)
+
+    def test_split_matches_the_linear_ladder(self):
+        split = squarefree_split.__wrapped__  # past the cache
+        for p in (2, 3):
+            for e in range(1, 301):
+                for c, rad in self.COFACTORS[:6]:
+                    n = p**e * c
+                    assert split(n) == _linear_peel(n, math.lcm(p, rad), 1, 1)[1:], (p, e, c)
+
+    def test_gcds_logarithmic_in_the_exponent(self, monkeypatch):
+        counter = _CountingMath()
+        monkeypatch.setattr(surds, "math", counter)
+        # one gcd for the all-exponents-one test, then two per level each way;
+        # the linear ladder took one per exponent
+        for e in (1, 2, 3, 7, 8, 64, 255, 256, 300, 1000):
+            counter.gcds = 0
+            n = 2**e * 3**2 * 5
+            assert surds._peel(n, 30, 1, 1) == _linear_peel(n, 30, 1, 1)
+            assert counter.gcds <= 1 + 4 * max(e, 2).bit_length(), e
+
+
 class TestLazyCanonicalForm:
     def test_square_factors_are_pulled_out_only_when_read(self):
         rng = random.Random(4096)
