@@ -8,6 +8,7 @@ Exit codes: 0 success or equivalent, 1 assertion failure or inequivalent,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -30,6 +31,7 @@ from .surds import (
     ParseError,
     QuadraticSurd,
     ZeroDenominator,
+    _lift_digits,
     approx_decimal,
     field_discriminant,
     format_surd,
@@ -37,7 +39,6 @@ from .surds import (
     parse_surd,
     poly_discriminant,
     surd_to_json,
-    unlimited_digits,
 )
 
 EXIT_OK = 0
@@ -222,6 +223,17 @@ def _corpus_apply(mode: str, payload: str) -> str:
     return str(classify_surd(parse_surd(payload)))
 
 
+def _results_json(results: list[dict]) -> str:
+    # json.dumps(results, indent=2) in one pass of the C encoder, which any
+    # indent turns off.  Records hold scalars only and strings escape their
+    # newlines, so each raw newline is a separator: the item separator puts
+    # the fields on their lines, and only a record boundary reads "},\n    {"
+    if not results:
+        return "[]"
+    flat = json.dumps(results, separators=(",\n    ", ": "))
+    return "[\n  {\n    " + flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+
+
 def cmd_corpus(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
@@ -255,7 +267,7 @@ def cmd_corpus(args) -> int:
 
     out_path = args.out or (args.path + ".results.json")
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(results, indent=2))
+        fh.write(_results_json(results))
 
     total = sum(counts.values())
     summary = {"entries": total, **counts, "results": out_path}
@@ -325,9 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@unlimited_digits  # answers and their JSON are printed at full precision
+# one tree per process: the first call builds it, later calls reuse it
+_parser = functools.cache(build_parser)
+
+
+# lifted for the whole command, not retried: main catches ValueError itself,
+# and answers and their JSON are printed outside any codec
+@_lift_digits
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -151,9 +151,17 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     if _is_probable_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    f = _pollard_brent(n)
-    _factor_into(f, out)
-    _factor_into(n // f, out)
+    # divide each prime of the factor found out of n to its full power, so a
+    # prime power costs one Pollard-Brent run, not one per exponent level
+    primes: dict[int, int] = {}
+    _factor_into(_pollard_brent(n), primes)
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out[p] = out.get(p, 0) + e
+    _factor_into(n, out)
 
 
 def _peel(m: int, h: int, s: int, f: int) -> tuple[int, int, int]:
@@ -459,7 +467,7 @@ def field_discriminant(x: QuadraticSurd) -> int:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
-# the count of decorated calls running and the interpreter-wide limit change
+# the count of lifted calls running and the interpreter-wide limit change
 # together under this lock: the first call in saves and lifts the limit, the
 # last one out restores it, so overlapping calls never restore each other's 0
 _DIGITS_LOCK = _thread.allocate_lock()
@@ -467,11 +475,10 @@ _digits_users = 0
 _digits_saved = 0
 
 
-def unlimited_digits(fn):
+def _lift_digits(fn):
     """Decorator: run fn with CPython's int<->str digit limit lifted.
 
-    Coefficients have arbitrary precision, so their decimal text must too.
-    The limit is lifted while any decorated call runs, in any thread, and
+    The limit is lifted while any lifted call runs, in any thread, and
     restored when the last of them returns; interpreters without the limit
     get fn unchanged.
     """
@@ -497,6 +504,30 @@ def unlimited_digits(fn):
     return wrapper
 
 
+def unlimited_digits(fn):
+    """Decorator: let fn convert integers of any size to and from text.
+
+    fn runs plainly, and once more under :func:`_lift_digits` only if it
+    raises ValueError, as a conversion past the digit limit does.  fn must be
+    pure, so the retry gives the same answer, and numbers below 4,300 digits
+    never take the lock; an error path simply runs twice.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn
+    lifted = _lift_digits(fn)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ValueError:
+            pass
+        # outside the except clause, so a second error is not chained to the first
+        return lifted(*args, **kwargs)
+
+    return wrapper
+
+
 _SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/([+-]?\d+)$")
 
 
@@ -512,7 +543,7 @@ def format_surd(x: QuadraticSurd) -> str:
 @unlimited_digits
 def parse_surd(text: str) -> QuadraticSurd:
     """Parse `(<a>+<b>*sqrt(<d>))/<c>`, e.g. `(-1+1*sqrt(5))/2`."""
-    m = _SURD_RE.match(re.sub(r"\s+", "", text))
+    m = _SURD_RE.match("".join(text.split()))
     if not m:
         raise ParseError(f"not a surd literal: {text!r}")
     a, b, d, c = (int(g) for g in m.groups())
@@ -542,7 +573,6 @@ def surd_from_json(obj: dict) -> QuadraticSurd:
         raise ParseError(f"not a surd object: {obj!r}") from exc
 
 
-@unlimited_digits
 def approx_decimal(x: QuadraticSurd, digits: int) -> str:
     """Decimal expansion with `digits` fractional digits, truncated toward -inf.
 
@@ -551,7 +581,12 @@ def approx_decimal(x: QuadraticSurd, digits: int) -> str:
     if digits < 0:
         raise ValueError("digits must be >= 0")
     scale = 10 ** digits
-    k = _floor_ratio(x._a * scale, x._b, x._c, x._d * scale * scale)
+    return _decimal_text(_floor_ratio(x._a * scale, x._b, x._c, x._d * scale * scale), digits)
+
+
+@unlimited_digits  # only the conversion, so a retry never redoes the isqrt
+def _decimal_text(k: int, digits: int) -> str:
+    # k / 10**digits in decimal
     if digits == 0:
         return str(k)
     sign = "-" if k < 0 else ""

@@ -350,6 +350,35 @@ class TestCorpus:
         assert code == 2
         assert "cannot read corpus" in err
 
+    def test_results_file_is_indent_2_json(self, capsys, tmp_path):
+        # pass, fail and error lines; non-ASCII input; quotes and backslashes
+        # in the error text, which repeats the input
+        corpus = tmp_path / "mixed.txt"
+        corpus.write_text(
+            "(-1+1*sqrt(5))/2 => (1)\n"
+            "(-1+1*sqrt(3))/1 => P(2)\n"
+            "(-1+1*sqrt(5))/2\u00e9 => (1)  # trailing \u00e9\n"
+            '(1+"x\\y)/2 => (1)\n'
+            "\u221a5 \U0001f600\n",
+            encoding="utf-8",
+        )
+        out_file = tmp_path / "res.json"
+        code, _, _ = run(capsys, "corpus", str(corpus), "classify", "--out", str(out_file))
+        assert code == 1
+        text = out_file.read_text(encoding="utf-8")
+        results = json.loads(text)
+        assert [r["status"] for r in results] == ["pass", "fail", "error", "error", "error"]
+        assert '\\"x\\\\y' in text and "\\u221a" in text
+        assert text == json.dumps(results, indent=2)
+
+    def test_comment_only_corpus_writes_an_empty_list(self, capsys, tmp_path):
+        corpus = tmp_path / "empty.txt"
+        corpus.write_text("# nothing to run\n\n   # still nothing\n")
+        code, out, _ = run(capsys, "corpus", str(corpus), "solve")
+        assert code == 0
+        assert "0 passed, 0 failed, 0 errors of 0 entries" in out
+        assert (tmp_path / "empty.txt.results.json").read_text() == "[]"
+
 
 class TestJsonSchemas:
     """Every command's JSON payload keeps its documented key set."""
@@ -403,6 +432,47 @@ class TestParserExits:
         with pytest.raises(SystemExit) as exc:
             main(["expand", GOLDEN])
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    """One process reuses one argument parser; each call must still answer
+    as a fresh process does."""
+
+    ARGVS = [
+        ("expand", "(-1+1*sqrt(3))/1", "--periodic"),
+        ("expand", "(-4+1*sqrt(37))/3", "--terms", "5", "--format", "json"),
+        ("expand", GOLDEN),  # usage error: --terms or --periodic is required
+        ("solve", "(1,2,3)", "--approx", "12"),
+        ("solve", "(1,2,3)", "--format", "json"),
+        ("classify", "(-1+1*sqrt(3))/1"),
+        ("tau", "(-4+1*sqrt(37))/3", "--approx", "9", "--format", "json"),
+        ("equiv", GOLDEN, "(-1+1*sqrt(2))/1"),
+        ("classify", "not-a-surd"),
+        ("tau", "(1+1*sqrt(5))/2"),
+        ("solve", "(2)"),
+    ]
+
+    def _in_process(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_same_answers_as_fresh_processes(self, capsys):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuntzfrac.__file__)))
+        fresh = []
+        for argv in self.ARGVS:
+            done = subprocess.run(
+                [sys.executable, "-m", "cuntzfrac.cli", *argv],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert fresh[2][0] == 2 and "required" in fresh[2][2]
+        for _ in range(2):
+            got = [self._in_process(capsys, argv) for argv in self.ARGVS]
+            assert got == fresh
 
 
 class TestStdinLiteral:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import FrozenInstanceError
 from decimal import Decimal, localcontext
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import random_surd, random_unimodular
 from cuntzfrac import (
+    Cycle,
     NotIrrational,
     ParseError,
     PeriodicCFE,
@@ -286,6 +288,26 @@ class TestGcdCertificate:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surds.__file__)))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, env=env)
         assert done.returncode == 0, done.stderr
+
+
+class TestPrimePowers:
+    # each prime of a Pollard-Brent factor is divided out to its full power,
+    # so p**e costs one run, not e runs on numbers of full size
+    P, Q = 1_000_003, 1_000_033
+
+    @pytest.mark.parametrize("e", [3, 7, 51, 101, 201])
+    def test_split_is_exact(self, e):
+        split = squarefree_split.__wrapped__  # past the cache
+        start = time.perf_counter()
+        assert split(self.P**e * 6) == (self.P ** (e // 2), 6 * self.P ** (e % 2))
+        # about 0.6 s at e = 201; one run per exponent level took about 5 s
+        assert time.perf_counter() - start < 4
+
+    def test_factor_into_counts_every_exponent(self):
+        for e, k in ((5, 3), (21, 2), (40, 17)):
+            exps: dict[int, int] = {}
+            surds._factor_into(self.P**e * self.Q**k, exps)
+            assert exps == {self.P: e, self.Q: k}
 
 
 class TestMillerRabin:
@@ -627,6 +649,26 @@ class TestTextForms:
     def test_parse_with_whitespace(self):
         assert parse_surd(" ( -1 + 1 * sqrt( 5 ) ) / 2 ") == normalize(-1, 1, 2, 5)
 
+    @pytest.mark.parametrize("space", ["\t", "\n", "\x1c", "\xa0", "\u3000", " "])
+    def test_whitespace_as_the_regex_strips_it(self, space):
+        def regex_parse(text):
+            m = surds._SURD_RE.match(re.sub(r"\s+", "", text))
+            if not m:
+                raise ParseError(f"not a surd literal: {text!r}")
+            a, b, d, c = (int(g) for g in m.groups())
+            return normalize(a, b, c, d)
+
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except ValueError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        for literal in ("(-1+1*sqrt(5))/2", "(3-2*sqrt(12))/-4", "(1+0*sqrt(5))/2", "(1+1*sqrt5)/2"):
+            for at in range(len(literal) + 1):
+                for text in (literal[:at] + space + literal[at:], literal[:at] + space * 3 + literal[at:]):
+                    assert outcome(parse_surd, text) == outcome(regex_parse, text), text
+
     @pytest.mark.parametrize("bad", ["", "1+sqrt(5)", "(1+1*sqrt(5))", "(1+1*sqrt(5))/0x2",
                                      "(1+1*sqrt(-5))/2", "sqrt(5)/2"])
     def test_parse_errors(self, bad):
@@ -695,6 +737,39 @@ class TestHugeCoefficients:
             ctx.prec = 5_010
             want = str((Decimal(5).sqrt() - 1) / 2)[: 2 + 5_000]
         assert approx_decimal(normalize(-1, 1, 2, 5), 5_000) == want
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
+    def test_small_numbers_never_take_the_lock(self, monkeypatch):
+        class CountingLock:
+            def __init__(self):
+                self.lock, self.acquired = threading.Lock(), 0
+
+            def __enter__(self):
+                self.acquired += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        counting = CountingLock()
+        monkeypatch.setattr(surds, "_DIGITS_LOCK", counting)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4_300)
+        try:
+            x = normalize(-4, 1, 3, 37)
+            assert format_block(PeriodicCFE((), (1, 2))) == "(1,2)"
+            assert parse_block("2,1,(3,1,4)") == PeriodicCFE((2, 1), (3, 1, 4))
+            assert parse_surd("(-4+1*sqrt(37))/3") == x
+            assert format_surd(x) == "(-4+1*sqrt(37))/3"
+            assert surd_to_json(x) == {"a": "-4", "b": "1", "c": "3", "d": "37"}
+            assert str(Cycle((1, 2, 3))) == "P(1,2,3)"
+            assert counting.acquired == 0
+            big = PeriodicCFE((), (10**5000, 1))  # an entry of 5,001 digits
+            assert parse_block(format_block(big)) == big
+            assert counting.acquired >= 1
+            assert sys.get_int_max_str_digits() == 4_300
+        finally:
+            sys.set_int_max_str_digits(before)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
     def test_limit_is_restored(self):
