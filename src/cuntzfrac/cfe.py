@@ -18,6 +18,7 @@ from .surds import (
     ParseError,
     QuadraticSurd,
     UnimodularMatrix,
+    _floor_pq,
     _json_int,
     _require_omega,
     mobius_apply,
@@ -54,6 +55,8 @@ class PeriodicCFE:
     period: Word
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "initial", tuple(self.initial))
+        object.__setattr__(self, "period", tuple(self.period))
         if not self.period:
             raise ValueError("period must be nonempty")
         _check_quotients(self.initial + self.period)
@@ -72,42 +75,6 @@ class PeriodicCFE:
 
     def __str__(self) -> str:
         return format_block(self)
-
-
-@dataclass(frozen=True)
-class PQState:
-    """Integer expansion state for (P + sqrt(D))/Q with Q | D - P*P."""
-
-    P: int
-    Q: int
-    D: int
-
-    def __post_init__(self) -> None:
-        if self.Q == 0:
-            raise ValueError("Q must be nonzero")
-        r = math.isqrt(self.D) if self.D > 0 else 0
-        if self.D <= 0 or r * r == self.D:
-            raise ValueError("D must be positive and not a perfect square")
-        if (self.D - self.P * self.P) % self.Q:
-            raise ValueError("Q must divide D - P*P")
-
-
-def to_pq_form(x: QuadraticSurd) -> PQState:
-    """Rewrite x as (P + sqrt(D))/Q with Q | D - P*P, scaling when needed.
-
-    D is b*b*d from the stored coefficients, so no factoring happens; when d
-    kept square factors the state is a common multiple of the one the
-    canonical form gives, with the same complete quotients.
-    """
-    p, _, q, d = _reciprocal_state(x)
-    return PQState(-p, q, d)
-
-
-def _floor_pq(p: int, q: int, sd: int) -> int:
-    # floor((p + sqrt(D))/q) given sd = isqrt(D)
-    if q > 0:
-        return (p + sd) // q
-    return (-p - sd - 1) // -q
 
 
 def _reciprocal_state(x: QuadraticSurd) -> tuple[int, int, int, int]:

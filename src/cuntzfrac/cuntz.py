@@ -47,17 +47,22 @@ class LabelSpaceOverflow(RuntimeError):
 # ---------------------------------------------------------------------------
 # words and representation classes
 
-def is_nonperiodic(j: Word) -> bool:
-    """True when no nontrivial cyclic rotation fixes the word."""
-    if not j:
-        raise EmptyWord("word must be nonempty")
-    return words.is_primitive(tuple(j))
-
-
-def _primitive(j: Word) -> Word:
+def _word(j: Word) -> Word:
+    # the one check of a word's entries for the cycle classes and their checks
     j = tuple(j)
     if not j:
         raise EmptyWord("word must be nonempty")
+    _check_quotients(j, "generator indices")
+    return j
+
+
+def is_nonperiodic(j: Word) -> bool:
+    """True when no nontrivial cyclic rotation fixes the word."""
+    return words.is_primitive(_word(j))
+
+
+def _primitive(j: Word) -> Word:
+    j = _word(j)
     if not words.is_primitive(j):
         raise NotPrimitive(f"{j} is a proper power")
     return j
@@ -79,7 +84,7 @@ class Cycle:
     word: Word
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "word", canonical_cycle(tuple(self.word)))
+        object.__setattr__(self, "word", canonical_cycle(self.word))
 
     @unlimited_digits
     def __str__(self) -> str:
@@ -99,6 +104,7 @@ class Chain:
     continuation: str = "?"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "prefix", tuple(self.prefix))
         _check_quotients(self.prefix, "prefix entries")
 
     @unlimited_digits
@@ -142,6 +148,8 @@ class WordOperator:
     zero: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "left", tuple(self.left))
+        object.__setattr__(self, "right", tuple(self.right))
         if self.zero and (self.left or self.right):
             raise ValueError("the zero operator carries no words")
         _check_quotients(self.left + self.right, "generator indices")
@@ -386,7 +394,7 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     v = PeriodicCFE._trusted((), j)
     entries = []
 
-    s_j, w = WordOperator(j, ()), v
+    s_j, w = WordOperator._trusted(j, ()), v
     for _ in range(max(1, depth)):
         w = apply_word_op(s_j, w)
         if w != v:
@@ -395,7 +403,6 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
         CheckEntry("gp-fixed-point", f"J=({name})", "pass" if w == v else "fail")
     )
 
-    # s_j checked the indices of j once; its suffixes need no second check
     cycle_labels = {
         apply_word_op(WordOperator._trusted(j[start:], ()), v) for start in range(len(j))
     }

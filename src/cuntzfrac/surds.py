@@ -374,25 +374,34 @@ def normalize(a: int, b: int, c: int, d: int) -> QuadraticSurd:
     return _reduced(a, b, c, d)
 
 
-def _sign_linear(a: int, b: int, d: int) -> int:
-    # sign of a + b*sqrt(d); b*b*d must not be a perfect square unless b == 0
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if b > 0:
-        if a >= 0:
-            return 1
-        return 1 if b * b * d > a * a else -1
-    return -_sign_linear(-a, -b, d)
+def _floor_pq(p: int, q: int, sd: int) -> int:
+    # floor((p + sqrt(D))/q), q != 0, given sd = isqrt(D) of a non-square D;
+    # the one exact floor, read by the order tests and the pre-period steps
+    if q > 0:
+        return (p + sd) // q
+    return (-p - sd - 1) // -q
+
+
+def _floor_ratio(a: int, b: int, c: int, d: int) -> int:
+    # floor((a + b*sqrt(d))/c), c != 0 and b*b*d not a perfect square
+    if b < 0:
+        a, c = -a, -c
+    return _floor_pq(a, c, math.isqrt(b * b * d))
+
+
+def floor_of(x: QuadraticSurd) -> int:
+    """Exact floor via integer square-root bracketing; no floating point."""
+    return _floor_ratio(x._a, x._b, x._c, x._d)
 
 
 def cmp_int(x: QuadraticSurd, k: int) -> int:
-    """Sign of x - k, exactly."""
-    return _sign_linear(x._a - k * x._c, x._b, x._d)
+    """Sign of x - k, exactly; never 0, as x is irrational."""
+    return 1 if floor_of(x) >= k else -1
 
 
 def in_omega(x: QuadraticSurd) -> bool:
     """True when 0 < x < 1."""
-    return cmp_int(x, 0) > 0 and cmp_int(x, 1) < 0
+    return floor_of(x) == 0
 
 
 def _require_omega(x: QuadraticSurd) -> None:
@@ -404,22 +413,6 @@ def _require_omega(x: QuadraticSurd) -> None:
 def shift_by_int(x: QuadraticSurd, k: int) -> QuadraticSurd:
     """x + k; integer shifts preserve c > 0 and gcd(a, b, c) = 1."""
     return QuadraticSurd(x._a + k * x._c, x._b, x._c, x._d)
-
-
-def _floor_ratio(a: int, b: int, c: int, d: int) -> int:
-    # floor((a + b*sqrt(d))/c), c != 0; b*sqrt(d) irrational unless b == 0
-    if c < 0:
-        a, b, c = -a, -b, -c
-    if b == 0:
-        return a // c
-    s = math.isqrt(b * b * d)
-    num = a + s if b > 0 else a - s - 1
-    return num // c
-
-
-def floor_of(x: QuadraticSurd) -> int:
-    """Exact floor via integer square-root bracketing; no floating point."""
-    return _floor_ratio(x._a, x._b, x._c, x._d)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import cuntzfrac
 from cuntzfrac import (
     ParseError,
     PeriodicCFE,
-    PQState,
     UnimodularMatrix,
     block_from_json,
     block_prefix,
@@ -30,41 +29,30 @@ from cuntzfrac import (
     parse_block,
     sigma_shift,
     surd_from_cfe,
-    to_pq_form,
 )
 from cuntzfrac import cfe
 from cuntzfrac.cfe import _FOLD_LEAF, _FOLD_MOD, _GUESS_FROM, _fold
-from cuntzfrac.surds import DomainError
+from cuntzfrac.surds import DomainError, _floor_pq
 from cuntzfrac.words import is_primitive
 
 
-class TestPQForm:
+class TestReciprocalState:
+    # (P, Q, Q_prev, D) of 1/x: Q_prev * Q = D - P*P and x = (-P + sqrt(D))/Q_prev
     def test_no_scaling_needed(self):
-        assert to_pq_form(normalize(-1, 1, 2, 5)) == PQState(-1, 2, 5)
+        assert cfe._reciprocal_state(normalize(-1, 1, 2, 5)) == (1, 2, 2, 5)
+        assert cfe._reciprocal_state(normalize(0, 1, 1, 2)) == (0, 2, 1, 2)
 
     def test_scaling(self):
-        assert to_pq_form(normalize(-1, 1, 3, 2)) == PQState(-3, 9, 18)
-
-    def test_unit_denominator(self):
-        assert to_pq_form(normalize(0, 1, 1, 2)) == PQState(0, 1, 2)
-
-    def test_negative_b(self):
-        st = to_pq_form(normalize(3, -1, 2, 5))
-        assert (st.D - st.P * st.P) % st.Q == 0
+        # (-1+sqrt(2))/3 = (-3+sqrt(18))/9, whose 1/x is 3 + sqrt(18)
+        assert cfe._reciprocal_state(normalize(-1, 1, 3, 2)) == (3, 1, 9, 18)
 
     def test_invariant_on_randoms(self):
         rng = random.Random(5)
-        for _ in range(300):
-            st = to_pq_form(random_surd(rng))
-            assert (st.D - st.P * st.P) % st.Q == 0
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            PQState(0, 0, 5)
-        with pytest.raises(ValueError):
-            PQState(0, 1, 4)
-        with pytest.raises(ValueError):
-            PQState(1, 3, 5)
+        xs = [normalize(3, -1, 2, 5)] + [random_surd(rng) for _ in range(300)]
+        for x in xs:
+            p, q, q_prev, d = cfe._reciprocal_state(x)
+            assert q_prev * q == d - p * p
+            assert normalize(-p, 1, q_prev, d) == x
 
 
 class TestExpand:
@@ -351,8 +339,12 @@ class TestBlockText:
 
 def _seen_dict_periodic(x):
     """Stop at the first repeated (P, Q) state, then canonicalize the block."""
-    st = to_pq_form(x)
-    p, q, d = -st.P, (st.D - st.P * st.P) // st.Q, st.D
+    # x = (p + sqrt(d))/q from the canonical fields, scaled until q | d - p*p;
+    # the walk starts at 1/x = (-p + sqrt(d))/((d - p*p)/q)
+    p, q, d = (x.a, x.c, x.b * x.b * x.d) if x.b > 0 else (-x.a, -x.c, x.b * x.b * x.d)
+    if (d - p * p) % q:
+        p, d, q = p * abs(q), d * q * q, q * abs(q)
+    p, q = -p, (d - p * p) // q
     sd = math.isqrt(d)
     seen = {}
     quotients = []
@@ -390,7 +382,7 @@ def _sequential_surd_from_cfe(e):
 
 
 def _needs_scaling(x):
-    # to_pq_form must scale when Q does not divide D - P*P as read off x
+    # the expansion state must scale when Q does not divide D - P*P as read off x
     p, q = (x.a, x.c) if x.b > 0 else (-x.a, -x.c)
     return (x.b * x.b * x.d - p * p) % q != 0
 
@@ -567,23 +559,6 @@ class TestHugeCoefficients:
         assert sys.get_int_max_str_digits() == before
 
 
-class TestExpansionWithoutPQState:
-    def test_no_state_object_per_expansion(self, monkeypatch):
-        # the expansions read their integer state off the stored coefficients;
-        # to_pq_form alone builds the validated PQState
-        rng = random.Random(61)
-        xs = [normalize(-1, 1, 3, 2), normalize(3, -1, 2, 5)]
-        xs += [random_surd(rng, max_d=10**4) for _ in range(200)]
-        assert sum(map(_needs_scaling, xs)) > 2  # scaled states are covered
-        want = [(cfe_expand(x, 25), cfe_periodic(x)) for x in xs]
-
-        def refuse(*args):
-            raise AssertionError("PQState built on an expansion path")
-
-        monkeypatch.setattr("cuntzfrac.cfe.PQState", refuse)
-        assert [(cfe_expand(x, 25), cfe_periodic(x)) for x in xs] == want
-
-
 # ---------------------------------------------------------------------------
 # the half walk: the full walk of the reduced cycle, as cfe_periodic did it
 # before symmetric periods were reflected, is kept here as the oracle
@@ -595,7 +570,7 @@ def _full_walk_periodic(x):
     sd = math.isqrt(d)
     quotients = []
     while not (0 < p <= sd and sd - p < q <= sd + p):
-        a = cfe._floor_pq(p, q, sd)
+        a = _floor_pq(p, q, sd)
         quotients.append(a)
         p_next = a * q - p
         q, q_prev = q_prev + a * (p - p_next), q

@@ -251,6 +251,27 @@ class TestPublicConstructors:
         with pytest.raises(ValueError, match="generator indices start at 1"):
             label_cons(True, v)
 
+    @pytest.mark.parametrize(
+        "check",
+        [Cycle, canonical_cycle, is_nonperiodic, gp_vector_check, lambda j: cycle_dft_split(j, 2)],
+        ids=["Cycle", "canonical_cycle", "is_nonperiodic", "gp_vector_check", "cycle_dft_split"],
+    )
+    @pytest.mark.parametrize("word", [(0,), (-1, 2), (True, 2), (1.5,), ("1",)])
+    def test_words_take_positive_ints_only(self, check, word):
+        with pytest.raises(ValueError, match="generator indices must be integers >= 1"):
+            check(word)
+
+    def test_lists_are_stored_as_tuples(self):
+        for value, want in [
+            (PeriodicCFE([2], [3]), PeriodicCFE((2,), (3,))),
+            (WordOperator([1], []), WordOperator((1,), ())),
+            (WordOperator([], [1, 2]), WordOperator((), (1, 2))),
+            (Chain([1, 2]), Chain((1, 2))),
+            (Cycle([2, 1]), Cycle((1, 2))),
+        ]:
+            assert value == want
+            assert hash(value) == hash(want)
+
 
 class TestLabelAction:
     def test_generator_prepends(self):
@@ -451,7 +472,7 @@ class TestGPVector:
             gp_vector_check((1, 1))
 
     def test_indices_checked_once(self, monkeypatch):
-        # s_J checks J; its suffix operators are built trusted
+        # J is checked once on the way in; s_J and its suffix operators are built trusted
         calls = []
         check = cuntz._check_quotients
 

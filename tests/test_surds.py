@@ -46,6 +46,7 @@ from cuntzfrac import (
     parse_block,
     parse_surd,
     poly_discriminant,
+    shift_by_int,
     squarefree_split,
     surd_from_cfe,
     surd_from_json,
@@ -626,6 +627,24 @@ class TestDiscriminants:
         assert field_discriminant(normalize(*surd)) == expect
 
 
+def _sign_linear(a, b, d):
+    """Sign of a + b*sqrt(d) by squaring alone, with no square root taken;
+    b*b*d must not be a perfect square unless b == 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if b > 0:
+        if a >= 0:
+            return 1
+        return 1 if b * b * d > a * a else -1
+    return -_sign_linear(-a, -b, d)
+
+
+def _oracle_cmp(x, k):
+    # sign of x - k read off the stored coefficients (c > 0), so a large
+    # radicand is never factored
+    return _sign_linear(x._a - k * x._c, x._b, x._d)
+
+
 class TestOrdering:
     def test_cmp_int(self):
         x = normalize(-1, 1, 2, 5)
@@ -633,6 +652,51 @@ class TestOrdering:
         assert cmp_int(x, 1) < 0
         assert in_omega(x)
         assert not in_omega(normalize(1, 1, 2, 5))
+
+    def _check_against_oracle(self, x):
+        f = floor_of(x)
+        for k in range(f - 3, f + 4):
+            assert cmp_int(x, k) == _oracle_cmp(x, k)
+        assert in_omega(x) == (_oracle_cmp(x, 0) > 0 and _oracle_cmp(x, 1) < 0)
+
+    def test_against_sign_oracle(self):
+        rng = random.Random(630)
+        negative_b = scaled = square_part = 0
+        for i in range(600):
+            x = shift_by_int(random_surd(rng, max_d=150 if i % 3 else 10**5), rng.randint(-4, 4))
+            if i % 2:
+                # the stored radicand keeps a square factor
+                s = rng.randint(2, 6)
+                x = normalize(x._a, x._b, x._c * s, x._d * s * s)
+                square_part += 1
+            negative_b += x._b < 0
+            p, q = (x._a, x._c) if x._b > 0 else (-x._a, -x._c)
+            scaled += (x._b * x._b * x._d - p * p) % q != 0
+            self._check_against_oracle(x)
+        assert negative_b > 100 and scaled > 100 and square_part > 100
+
+    def test_large_numerator_and_denominator(self):
+        # a and c of about 31,872 bits with b = 1: the surd that solve returns
+        # for the block 9,...,9,(1) with 5,000 nines
+        x = surd_from_cfe(parse_block("9," * 5000 + "(1)"))
+        assert x._b == 1 and x._a.bit_length() > 31_000 and x._c.bit_length() > 31_000
+        assert in_omega(x)
+        self._check_against_oracle(x)
+        self._check_against_oracle(shift_by_int(x, -7))
+
+    def test_large_radicand_coefficient(self):
+        # b and d of 30,000 bits each
+        rng = random.Random(631)
+        b = rng.getrandbits(30_000) | 1 << 29_999
+        d = rng.getrandbits(30_000) | 1 << 29_999 | 1
+        while math.isqrt(d) ** 2 == d:
+            d += 2
+        for sign in (1, -1):
+            x = normalize(rng.randint(-10**6, 10**6), sign * b, rng.randint(1, 10**6), d)
+            self._check_against_oracle(x)
+            y = shift_by_int(x, -floor_of(x))
+            assert in_omega(y)
+            self._check_against_oracle(y)
 
 
 class TestTextForms:
