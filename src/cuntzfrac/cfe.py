@@ -22,7 +22,6 @@ from .surds import (
     _json_int,
     _require_omega,
     mobius_apply,
-    normalize,
     unlimited_digits,
 )
 
@@ -228,6 +227,8 @@ def sigma_shift(e: PeriodicCFE) -> PeriodicCFE:
 
 def block_prefix(e: PeriodicCFE, n: int) -> Word:
     """First n symbols of the represented infinite sequence."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     if n <= len(e.initial):
         return e.initial[:n]
     need = n - len(e.initial)
@@ -356,8 +357,9 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
         abc = r // g, (s - p) // g, q // g
     rr, bb, qq = abc
     disc = bb * bb + 4 * rr * qq
-    # rr, qq > 0: the roots have opposite signs, and the positive one is in (0, 1)
-    y = normalize(-bb, 1, 2 * rr, disc)
+    # rr, qq > 0, so the positive root is in (0, 1); what normalize checks holds:
+    # b = 1 makes the gcd 1, 2*rr > 0, and disc is no square, the value irrational
+    y = QuadraticSurd(-bb, 1, 2 * rr, disc)
     if e.initial:
         y = mobius_apply(UnimodularMatrix(*_fold(e.initial, 0, len(e.initial))), y)
     return y

@@ -2,7 +2,8 @@
 classification, a closed-form verification sweep, and a corpus runner.
 
 Exit codes: 0 success or equivalent, 1 assertion failure or inequivalent,
-2 parse error, 3 domain error (rational input or value outside (0, 1)).
+2 parse or usage error, or a corpus file that cannot be read or written,
+3 domain error (rational input or value outside (0, 1)).
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def _corpus_expected(mode: str, text: str) -> str:
     t = text.strip()
     if t.startswith("P(") and t.endswith(")"):
         t = t[1:]
-    return str(Cycle(parse_block(t).period))
+    return str(Cycle._of(parse_block(t).period))
 
 
 def _corpus_apply(mode: str, payload: str) -> str:
@@ -266,8 +267,12 @@ def cmd_corpus(args) -> int:
         results.append(record)
 
     out_path = args.out or (args.path + ".results.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(_results_json(results))
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(_results_json(results))
+    except OSError as exc:
+        print(f"cannot write results: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     total = sum(counts.values())
     summary = {"entries": total, **counts, "results": out_path}

@@ -86,6 +86,13 @@ class Cycle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", canonical_cycle(self.word))
 
+    @classmethod
+    def _of(cls, period: Word) -> "Cycle":
+        # for a period already checked and primitive: skips __post_init__
+        c = object.__new__(cls)
+        object.__setattr__(c, "word", words.canonical_rotation(period))
+        return c
+
     @unlimited_digits
     def __str__(self) -> str:
         return "P(" + ",".join(map(str, self.word)) + ")"
@@ -129,7 +136,7 @@ def pj_equivalent(j: RepClass, k: RepClass) -> bool | None:
 
 def classify_surd(x: QuadraticSurd) -> Cycle:
     """Cycle class attached to a quadratic irrational through its repeating block."""
-    return Cycle(cfe_periodic(x).period)
+    return Cycle._of(cfe_periodic(x).period)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +385,7 @@ def orbit_decompose(space) -> dict[Cycle, frozenset[PeriodicCFE]]:
     buckets: dict[Word, set[PeriodicCFE]] = {}
     for w in space:
         buckets.setdefault(words.canonical_rotation(w.period), set()).add(w)
-    return {Cycle(k): frozenset(v) for k, v in buckets.items()}
+    return {Cycle._of(k): frozenset(v) for k, v in buckets.items()}
 
 
 @unlimited_digits

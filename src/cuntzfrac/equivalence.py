@@ -5,7 +5,6 @@ from __future__ import annotations
 from . import words
 from .cfe import PeriodicCFE, cfe_periodic
 from .surds import (
-    NotIrrational,
     QuadraticSurd,
     UnimodularMatrix,
     _require_omega,
@@ -14,10 +13,6 @@ from .surds import (
     poly_discriminant,
     shift_by_int,
 )
-
-
-class DegenerateImage(ArithmeticError):
-    """A modular image collapsed to a rational; impossible for irrational input."""
 
 
 def tail_equivalent(a: PeriodicCFE, b: PeriodicCFE) -> bool:
@@ -51,10 +46,7 @@ def apply_and_reduce(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:
     equivalent to x.
     """
     _require_omega(x)
-    try:
-        y = mobius_apply(m, x)
-    except NotIrrational as exc:
-        raise DegenerateImage(str(exc)) from exc
+    y = mobius_apply(m, x)
     return shift_by_int(y, -floor_of(y))
 
 

@@ -348,13 +348,6 @@ def _lowest_terms(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a // g, b // g, c // g
 
 
-def _reduced(a: int, b: int, c: int, d: int) -> QuadraticSurd:
-    # d >= 2 not a perfect square and b != 0
-    if c == 0:
-        raise ZeroDenominator("denominator is zero")
-    return QuadraticSurd(*_lowest_terms(a, b, c), d)
-
-
 def normalize(a: int, b: int, c: int, d: int) -> QuadraticSurd:
     """Surd equal to (a + b*sqrt(d))/c with c > 0 and gcd(a, b, c) = 1.
 
@@ -371,7 +364,7 @@ def normalize(a: int, b: int, c: int, d: int) -> QuadraticSurd:
     r = math.isqrt(d)
     if r * r == d:
         raise NotIrrational(f"sqrt({d}) = {r} is an integer")
-    return _reduced(a, b, c, d)
+    return QuadraticSurd(*_lowest_terms(a, b, c), d)
 
 
 def _floor_pq(p: int, q: int, sd: int) -> int:
@@ -422,7 +415,8 @@ def gauss_tau(x: QuadraticSurd) -> QuadraticSurd:
     """Gauss map 1/x - floor(1/x), exactly; defined on (0, 1)."""
     _require_omega(x)
     a, b, c, d = x._a, x._b, x._c, x._d
-    inv = _reduced(c * a, -c * b, a * a - b * b * d, d)
+    # a*a - b*b*d != 0, as d is not a square and b != 0
+    inv = QuadraticSurd(*_lowest_terms(c * a, -c * b, a * a - b * b * d), d)
     return shift_by_int(inv, -floor_of(inv))
 
 
@@ -434,7 +428,7 @@ def mobius_apply(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:
     denom = da * da - db * db * d
     if denom == 0:
         raise NotIrrational("image denominator vanished")
-    return _reduced(na * da - nb * db * d, nb * da - na * db, denom, d)
+    return QuadraticSurd(*_lowest_terms(na * da - nb * db * d, nb * da - na * db, denom), d)
 
 
 def _min_poly(x: QuadraticSurd) -> tuple[int, int, int]:
@@ -466,6 +460,7 @@ def field_discriminant(x: QuadraticSurd) -> int:
 _DIGITS_LOCK = _thread.allocate_lock()
 _digits_users = 0
 _digits_saved = 0
+_lifts = _thread._local()  # .held: the lifted calls running in this thread
 
 
 def _lift_digits(fn):
@@ -486,9 +481,11 @@ def _lift_digits(fn):
                 _digits_saved = sys.get_int_max_str_digits()
                 sys.set_int_max_str_digits(0)
             _digits_users += 1
+        _lifts.held = getattr(_lifts, "held", 0) + 1
         try:
             return fn(*args, **kwargs)
         finally:
+            _lifts.held -= 1
             with _DIGITS_LOCK:
                 _digits_users -= 1
                 if not _digits_users:
@@ -503,7 +500,8 @@ def unlimited_digits(fn):
     fn runs plainly, and once more under :func:`_lift_digits` only if it
     raises ValueError, as a conversion past the digit limit does.  fn must be
     pure, so the retry gives the same answer, and numbers below 4,300 digits
-    never take the lock; an error path simply runs twice.
+    never take the lock.  A thread that already holds the lift re-raises at
+    once; elsewhere an error path simply runs twice.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         return fn
@@ -514,7 +512,8 @@ def unlimited_digits(fn):
         try:
             return fn(*args, **kwargs)
         except ValueError:
-            pass
+            if getattr(_lifts, "held", 0):
+                raise
         # outside the except clause, so a second error is not chained to the first
         return lifted(*args, **kwargs)
 

@@ -132,6 +132,12 @@ class TestNormalizeBlock:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             minimal_period_normalize(initial, period)
 
+    def test_prefix_needs_n_at_least_0(self):
+        e = PeriodicCFE((1, 2), (3,))
+        assert block_prefix(e, 0) == ()
+        with pytest.raises(ValueError, match="need n >= 0"):
+            block_prefix(e, -1)
+
     def test_whole_period_folds_in_linear_time(self):
         # an initial block equal to the period folds in completely; one
         # rotation instead of one per symbol keeps this far inside the timeout
@@ -162,6 +168,23 @@ class TestNormalizeBlock:
 class TestSurdFromCFE:
     def test_golden(self):
         assert surd_from_cfe(PeriodicCFE((), (1,))) == normalize(-1, 1, 2, 5)
+
+    @pytest.mark.parametrize("guess_from", [_GUESS_FROM, 0])
+    def test_root_is_stored_as_normalize_stores_it(self, monkeypatch, guess_from):
+        # the root of a purely periodic block is built without normalize; its
+        # stored fields are those normalize(-bb, 1, 2*rr, disc) gives
+        monkeypatch.setattr(cfe, "_GUESS_FROM", guess_from)
+        rng = random.Random(71)
+        for _ in range(200):
+            raw = [rng.randint(1, 12) for _ in range(rng.randint(1, 12))]
+            period = minimal_period_normalize((), raw).period
+            p, q, r, s = _fold(period, 0, len(period))
+            g = math.gcd(r, s - p, q)
+            rr, bb, qq = r // g, (s - p) // g, q // g
+            want = normalize(-bb, 1, 2 * rr, bb * bb + 4 * rr * qq)
+            y = surd_from_cfe(PeriodicCFE((), period))
+            assert (y._a, y._b, y._c, y._d) == (want._a, want._b, want._c, want._d)
+            assert cfe_periodic(y) == PeriodicCFE((), period)
 
     def test_single_letter_family(self):
         for k in range(1, 8):
@@ -308,9 +331,9 @@ class TestBlockText:
         assert obj == {"initial": [2], "period": [3, 1]}
         assert block_from_json(obj) == e
 
-    @pytest.mark.parametrize("bad", [1.9, 2.0, True, False, None])
+    @pytest.mark.parametrize("bad", [1.9, 2.0, True, False, None, 0])
     def test_json_rejects_non_integers(self, bad):
-        # int() would truncate 1.9 to 1 and read True as 1
+        # int() would truncate 1.9 to 1 and read True as 1; 0 is no quotient
         for obj in ({"initial": [], "period": [bad, 2]}, {"initial": [bad], "period": [2]}):
             with pytest.raises(ParseError):
                 block_from_json(obj)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import cuntzfrac
-from cuntzfrac import cfe_periodic, equivalence, families, format_block, normalize
+from cuntzfrac import cfe_periodic, cli, equivalence, families, format_block, normalize
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
 
@@ -308,6 +308,34 @@ class TestVerifyExamples:
         assert out.splitlines()[-1] == note
 
 
+    def test_drift_the_inverse_construction_confirms_fails(self, capsys, monkeypatch):
+        # the closed form drifts for (1, 1, 2) and the inverse construction
+        # disagrees too: the row fails, the sweep exits 1 and lists it
+        triple, solve = families.triple_block_surd, cli.surd_from_cfe
+
+        def drifting(*args):
+            if args == (1, 1, 2):
+                return families.single_block_surd(1), 0
+            return triple(*args)
+
+        def wrong_solve(e):
+            return families.single_block_surd(1) if e.period == (1, 1, 2) else solve(e)
+
+        monkeypatch.setattr(families, "triple_block_surd", drifting)
+        monkeypatch.setattr(cli, "surd_from_cfe", wrong_solve)
+        failure = {"instance": "triple (1, 1, 2)", "got": "P(1)", "expected": "P(1,1,2)"}
+        code, out, err = run(capsys, "verify-examples", "--format", "json")
+        payload = json.loads(out)
+        assert (code, err) == (1, "")
+        assert payload["passes"] == [50, 100, 119, 600]
+        assert payload["failures"] == [failure]
+        assert payload["notes"] == []
+        code, out, err = run(capsys, "verify-examples")
+        assert (code, err) == (1, "")
+        assert "three-letter blocks, entries<=5: 119/120 pass" in out
+        assert out.splitlines()[-1] == json.dumps([failure])
+
+
 class TestCorpus:
     def test_classify_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "surds.txt"
@@ -349,6 +377,16 @@ class TestCorpus:
         code, _, err = run(capsys, "corpus", str(tmp_path / "nope.txt"), "solve")
         assert code == 2
         assert "cannot read corpus" in err
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_results(self, capsys, tmp_path, where):
+        # a results path that cannot be written is a usage error, not a traceback
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("(1)\n")
+        out_path = tmp_path / "nowhere" / "r.json" if where == "missing directory" else tmp_path
+        code, out, err = run(capsys, "corpus", str(corpus), "solve", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write results: ") and str(out_path) in err
 
     def test_results_file_is_indent_2_json(self, capsys, tmp_path):
         # pass, fail and error lines; non-ASCII input; quotes and backslashes

@@ -21,6 +21,7 @@ from cuntzfrac import (
     apply_word_op,
     block_prefix,
     canonical_cycle,
+    cfe_periodic,
     classify_surd,
     cycle_dft_split,
     gp_vector_check,
@@ -95,8 +96,9 @@ class TestRepClasses:
         assert str(Cycle((2, 3, 1))) == "P(1,2,3)"
 
     def test_cycle_rejects_powers(self):
-        with pytest.raises(NotPrimitive):
-            Cycle((1, 2, 1, 2))
+        for word in [(1, 2, 1, 2), (1, 1)]:
+            with pytest.raises(NotPrimitive):
+                Cycle(word)
 
     def test_chain_text(self):
         assert str(Chain((1, 2, 3))) == "P(1,2,3,...)"
@@ -159,6 +161,36 @@ class TestClassifySurd:
         for _ in range(100):
             assert isinstance(classify_surd(random_surd(rng)), Cycle)
 
+    def test_matches_the_public_cycle(self):
+        rng = random.Random(31)
+        for x in [random_surd(rng, max_d=5_000) for _ in range(200)]:
+            assert classify_surd(x) == Cycle(cfe_periodic(x).period)
+        # a 100,582-quotient period
+        x = normalize(-298582, 1, 1, 89151474086)
+        period = cfe_periodic(x).period
+        assert len(period) == 100_582
+        got = classify_surd(x)
+        assert got == Cycle(period)
+        assert got.word == canonical_cycle(period)
+
+    def test_builds_the_class_without_checks(self, monkeypatch):
+        # cfe_periodic returns a checked primitive period and orbit keys are
+        # rotations of label periods, so neither path checks them again
+        rng = random.Random(37)
+        xs = [random_surd(rng, max_d=2_000) for _ in range(100)]
+        space = LabelSpace.full(4, 3)
+        want_classes = [Cycle(cfe_periodic(x).period) for x in xs]
+        want_orbits = orbit_decompose(space)
+
+        def refuse(*args):
+            raise AssertionError("a checked value was checked again")
+
+        monkeypatch.setattr("cuntzfrac.cfe._check_quotients", refuse)
+        monkeypatch.setattr(cuntz, "_check_quotients", refuse)
+        monkeypatch.setattr("cuntzfrac.words.primitive_root_length", refuse)
+        assert [classify_surd(x) for x in xs] == want_classes
+        assert orbit_decompose(space) == want_orbits
+
 
 class TestWordOperator:
     def test_adjoint_pair_is_identity(self):
@@ -187,6 +219,10 @@ class TestWordOperator:
             assert u * IDENTITY == u
             assert ZERO * u == ZERO
             assert u * ZERO == ZERO
+
+    def test_text_of_zero_and_identity(self):
+        assert str(ZERO) == "0"
+        assert str(IDENTITY) == "I"
 
     def test_adjoint_involution(self):
         rng = random.Random(19)
@@ -400,6 +436,15 @@ class TestLabelSpace:
         space = LabelSpace.full(3, 3)
         assert len(space) == len({str(w) for w in space})
 
+    def test_full_needs_positive_depth(self):
+        with pytest.raises(ValueError, match="need depth >= 1"):
+            LabelSpace.full(0, 2)
+
+    def test_membership(self):
+        space = LabelSpace.full(2, 2)
+        assert PeriodicCFE((2,), (1,)) in space
+        assert PeriodicCFE((1, 2), (1,)) not in space
+
 
 class TestRelationChecks:
     def test_no_violations_small(self):
@@ -458,6 +503,7 @@ class TestOrbitDecompose:
         part = orbit_decompose(space)
         assert sum(len(v) for v in part.values()) == len(space)
         for cls, members in part.items():
+            assert cls == Cycle(cls.word)
             assert all(Cycle(w.period) == cls for w in members)
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import random_surd, random_unimodular
 from cuntzfrac import (
+    NotIrrational,
     PeriodicCFE,
+    QuadraticSurd,
     UnimodularMatrix,
     apply_and_reduce,
     cfe_periodic,
@@ -102,6 +104,12 @@ class TestApplyAndReduce:
             x = random_surd(rng)
             y = apply_and_reduce(random_unimodular(rng), x)
             assert in_omega(y)
+
+    def test_raw_rational_value_raises(self):
+        # 1/2 built raw past normalize: its image under x -> x/(1 - 2x) has
+        # no denominator, which mobius_apply reports itself
+        with pytest.raises(NotIrrational):
+            apply_and_reduce(UnimodularMatrix(1, 0, -2, 1), QuadraticSurd(1, 0, 2, 5))
 
 
 class TestClassLabel:

@@ -1,6 +1,7 @@
 import bisect
 import copy
 import itertools
+import json
 import math
 import os
 import pickle
@@ -53,6 +54,7 @@ from cuntzfrac import (
     surd_to_json,
 )
 from cuntzfrac import surds
+from cuntzfrac.cli import main
 from cuntzfrac.surds import DomainError
 
 
@@ -78,6 +80,15 @@ class TestNormalize:
     def test_negative_denominator_sign_fix(self):
         assert normalize(1, 1, -2, 5) == QuadraticSurd(-1, -1, 2, 5)
 
+    def test_negative_radicand(self):
+        with pytest.raises(ValueError, match="radicand must be positive"):
+            normalize(1, 1, 1, -5)
+
+    def test_never_equal_to_other_types(self):
+        x = normalize(-1, 1, 2, 5)
+        assert x.__eq__(1) is NotImplemented
+        assert (x == 1) is False
+
     @settings(max_examples=200, deadline=None)
     @given(
         a=st.integers(-50, 50),
@@ -100,6 +111,10 @@ class TestSquarefreeSplit:
                                           (148, (2, 37)), (360, (6, 10))])
     def test_known(self, n, expect):
         assert squarefree_split(n) == expect
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            squarefree_split(0)
 
     def test_large_semiprime_square(self):
         # p^2 * q with both primes beyond the trial-division window
@@ -568,6 +583,12 @@ class TestGaussTau:
             x = random_surd(rng)
             assert in_omega(gauss_tau(x))
 
+    def test_raw_rational_value_raises(self):
+        # (1 + sqrt(1))/4 = 1/2, built raw past normalize: its reciprocal has
+        # no denominator, and the floor of the image divides by it
+        with pytest.raises(ZeroDivisionError):
+            gauss_tau(QuadraticSurd(1, 1, 4, 1))
+
 
 class TestMobius:
     def test_determinant_guard(self):
@@ -771,6 +792,10 @@ class TestApproxDecimal:
     def test_zero_digits(self):
         assert approx_decimal(normalize(0, 1, 1, 2), 0) == "1"
 
+    def test_negative_digits(self):
+        with pytest.raises(ValueError, match="digits must be >= 0"):
+            approx_decimal(normalize(0, 1, 1, 2), -1)
+
 
 # coefficients of 10^4 digits, beyond CPython's default int <-> str limit
 BIG_A = "1" + "0" * 9_999 + "7"  # 10**10_000 + 7
@@ -803,19 +828,19 @@ class TestHugeCoefficients:
         assert approx_decimal(normalize(-1, 1, 2, 5), 5_000) == want
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
+    class CountingLock:
+        def __init__(self):
+            self.lock, self.acquired = threading.Lock(), 0
+
+        def __enter__(self):
+            self.acquired += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
     def test_small_numbers_never_take_the_lock(self, monkeypatch):
-        class CountingLock:
-            def __init__(self):
-                self.lock, self.acquired = threading.Lock(), 0
-
-            def __enter__(self):
-                self.acquired += 1
-                return self.lock.__enter__()
-
-            def __exit__(self, *exc):
-                return self.lock.__exit__(*exc)
-
-        counting = CountingLock()
+        counting = self.CountingLock()
         monkeypatch.setattr(surds, "_DIGITS_LOCK", counting)
         before = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4_300)
@@ -834,6 +859,24 @@ class TestHugeCoefficients:
             assert sys.get_int_max_str_digits() == 4_300
         finally:
             sys.set_int_max_str_digits(before)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
+    def test_error_paths_run_once_under_a_held_lift(self, monkeypatch, tmp_path):
+        # the command line holds the lift for the whole command, so a codec
+        # that fails inside it re-raises at once instead of retrying under
+        # the lock; a thread that holds no lift still retries
+        counting = self.CountingLock()
+        monkeypatch.setattr(surds, "_DIGITS_LOCK", counting)
+        corpus = tmp_path / "errors.txt"
+        corpus.write_text("".join(f"(1,{k},0)\n" for k in range(1, 1_001)))
+        assert main(["corpus", str(corpus), "solve"]) == 1
+        results = json.loads((tmp_path / "errors.txt.results.json").read_text())
+        assert [r["status"] for r in results] == ["error"] * 1_000
+        assert counting.acquired <= 2
+        counting.acquired = 0
+        with pytest.raises(ParseError):
+            parse_block("(1,0)")
+        assert counting.acquired >= 1
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
     def test_limit_is_restored(self):

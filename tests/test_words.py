@@ -53,6 +53,8 @@ def test_primitive_root_length():
     assert primitive_root_length((1, 1, 1)) == 1
     assert primitive_root_length((1, 2, 3)) == 3
     assert primitive_root_length((1, 2, 1)) == 3
+    with pytest.raises(ValueError, match="empty word has no primitive root"):
+        primitive_root_length(())
 
 
 def _border_root_length(w):
