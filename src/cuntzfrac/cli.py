@@ -213,7 +213,7 @@ def _corpus_expected(mode: str, text: str) -> str:
     t = text.strip()
     if t.startswith("P(") and t.endswith(")"):
         t = t[1:]
-    return str(Cycle._of(parse_block(t).period))
+    return str(Cycle._of(words.canonical_rotation(parse_block(t).period)))
 
 
 def _corpus_apply(mode: str, payload: str) -> str:

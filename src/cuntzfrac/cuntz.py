@@ -87,10 +87,10 @@ class Cycle:
         object.__setattr__(self, "word", canonical_cycle(self.word))
 
     @classmethod
-    def _of(cls, period: Word) -> "Cycle":
-        # for a period already checked and primitive: skips __post_init__
+    def _of(cls, word: Word) -> "Cycle":
+        # for the least rotation of a checked, primitive period: skips __post_init__
         c = object.__new__(cls)
-        object.__setattr__(c, "word", words.canonical_rotation(period))
+        object.__setattr__(c, "word", word)
         return c
 
     @unlimited_digits
@@ -136,7 +136,7 @@ def pj_equivalent(j: RepClass, k: RepClass) -> bool | None:
 
 def classify_surd(x: QuadraticSurd) -> Cycle:
     """Cycle class attached to a quadratic irrational through its repeating block."""
-    return Cycle._of(cfe_periodic(x).period)
+    return Cycle._of(words.canonical_rotation(cfe_periodic(x).period))
 
 
 # ---------------------------------------------------------------------------

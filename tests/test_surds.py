@@ -802,6 +802,20 @@ BIG_A = "1" + "0" * 9_999 + "7"  # 10**10_000 + 7
 BIG_C = "2" + "0" * 9_999 + "1"  # 2 * 10**10_000 + 1
 
 
+class CountingLock:
+    """Stand-in for the digit-limit lock that counts its entries."""
+
+    def __init__(self):
+        self.lock, self.acquired = threading.Lock(), 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
 class TestHugeCoefficients:
     def _big(self):
         return normalize(10**10_000 + 7, 3, 2 * 10**10_000 + 1, 5)
@@ -828,19 +842,8 @@ class TestHugeCoefficients:
         assert approx_decimal(normalize(-1, 1, 2, 5), 5_000) == want
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
-    class CountingLock:
-        def __init__(self):
-            self.lock, self.acquired = threading.Lock(), 0
-
-        def __enter__(self):
-            self.acquired += 1
-            return self.lock.__enter__()
-
-        def __exit__(self, *exc):
-            return self.lock.__exit__(*exc)
-
     def test_small_numbers_never_take_the_lock(self, monkeypatch):
-        counting = self.CountingLock()
+        counting = CountingLock()
         monkeypatch.setattr(surds, "_DIGITS_LOCK", counting)
         before = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4_300)
@@ -865,7 +868,7 @@ class TestHugeCoefficients:
         # the command line holds the lift for the whole command, so a codec
         # that fails inside it re-raises at once instead of retrying under
         # the lock; a thread that holds no lift still retries
-        counting = self.CountingLock()
+        counting = CountingLock()
         monkeypatch.setattr(surds, "_DIGITS_LOCK", counting)
         corpus = tmp_path / "errors.txt"
         corpus.write_text("".join(f"(1,{k},0)\n" for k in range(1, 1_001)))
