@@ -21,6 +21,7 @@ from .surds import (
     _floor_pq,
     _json_int,
     _require_omega,
+    _set_expansion,
     mobius_apply,
     unlimited_digits,
 )
@@ -66,7 +67,9 @@ class PeriodicCFE:
 
     @classmethod
     def _trusted(cls, initial: Word, period: Word) -> "PeriodicCFE":
-        # for blocks already canonical by construction: skips __post_init__
+        # for blocks already canonical by construction: skips __post_init__.
+        # Filling e.__dict__ directly builds faster, but a materialized dict
+        # makes every later read, hash and == of the fields slower
         e = object.__new__(cls)
         object.__setattr__(e, "initial", initial)
         object.__setattr__(e, "period", period)
@@ -129,7 +132,19 @@ def cfe_periodic(x: QuadraticSurd) -> PeriodicCFE:
     before it, and one reflection of the window between them gives the whole
     period in about half of its steps.  A cycle with no centre is walked to
     its return, and so is one that comes back within _REFLECT_FROM steps.
+
+    The expansion is kept on x, so a value is walked at most once, and a value
+    built by :func:`surd_from_cfe` is never walked.
     """
+    e = x._expansion
+    if e is None:
+        e = _walk(x)
+        _set_expansion(x, e)
+    return e
+
+
+def _walk(x: QuadraticSurd) -> PeriodicCFE:
+    # cfe_periodic's walk, which runs once per value
     _require_omega(x)
     p, q, q_prev, d = _reciprocal_state(x)
     sd = math.isqrt(d)
@@ -348,7 +363,8 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
     back after the last one.  A purely periodic number is fixed by its
     period, so this is a proof and the prime only guides the search.  Any
     failure falls back to the exact product; the initial block is always
-    folded exactly.
+    folded exactly.  Either way e is proved to be the expansion of the root,
+    which keeps it, so :func:`cfe_periodic` returns e without a walk.
     """
     abc = _guess(e.period) if len(e.period) > _GUESS_FROM else None
     if abc is None:
@@ -362,6 +378,7 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
     y = QuadraticSurd(-bb, 1, 2 * rr, disc)
     if e.initial:
         y = mobius_apply(UnimodularMatrix(*_fold(e.initial, 0, len(e.initial))), y)
+    _set_expansion(y, e)
     return y
 
 
@@ -370,10 +387,10 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
 
 @unlimited_digits
 def format_block(e: PeriodicCFE) -> str:
-    period = "(" + ",".join(map(str, e.period)) + ")"
+    period = "(" + words._joined(e.period) + ")"
     if not e.initial:
         return period
-    return ",".join(map(str, e.initial)) + "," + period
+    return words._joined(e.initial) + "," + period
 
 
 @unlimited_digits
@@ -386,10 +403,12 @@ def parse_block(text: str) -> PeriodicCFE:
     head, _, body = "".join(text.split()).partition("(")
     first = head[:-1].split(",") if head else []
     rest = body[:-1].split(",")
-    if head[-1:] not in ("", ",") or body[-1:] != ")" or not all(map(str.isdecimal, first + rest)):
+    if head[-1:] not in ("", ",") or body[-1:] != ")" or not (
+        all(map(str.isdecimal, first)) and all(map(str.isdecimal, rest))
+    ):
         raise ParseError(f"not a block literal: {text!r}")
-    initial = tuple(map(int, first))
-    period = tuple(map(int, rest))
+    initial = words._entries(first)
+    period = words._entries(rest)
     if 0 in initial or 0 in period:  # decimal digits admit no other bad value
         raise ParseError(f"partial quotients must be >= 1: {text!r}")
     return _canonical(initial, period)

@@ -64,7 +64,7 @@ def _maybe_approx(args, payload: dict, lines: list[str], x: QuadraticSurd) -> No
 
 
 def _word_text(w) -> str:
-    return "(" + ",".join(map(str, w)) + ")"
+    return "(" + words._joined(w) + ")"
 
 
 def _literal(text: str) -> str:
@@ -80,7 +80,7 @@ def cmd_expand(args) -> int:
         _emit(args, block_to_json(e), [format_block(e)])
     else:
         terms = cfe_expand(x, args.terms)
-        _emit(args, {"terms": list(terms)}, [",".join(map(str, terms))])
+        _emit(args, {"terms": list(terms)}, [words._joined(terms)])
     return EXIT_OK
 
 

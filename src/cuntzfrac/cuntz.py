@@ -95,7 +95,7 @@ class Cycle:
 
     @unlimited_digits
     def __str__(self) -> str:
-        return "P(" + ",".join(map(str, self.word)) + ")"
+        return "P(" + words._joined(self.word) + ")"
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class Chain:
 
     @unlimited_digits
     def __str__(self) -> str:
-        return "P(" + ",".join(map(str, self.prefix)) + ",...)"
+        return "P(" + words._joined(self.prefix) + ",...)"
 
 
 RepClass = Cycle | Chain
@@ -186,9 +186,9 @@ class WordOperator:
             return "I"
         parts = []
         if self.left:
-            parts.append("s[" + ",".join(map(str, self.left)) + "]")
+            parts.append("s[" + words._joined(self.left) + "]")
         if self.right:
-            parts.append("s[" + ",".join(map(str, self.right)) + "]*")
+            parts.append("s[" + words._joined(self.right) + "]*")
         return "".join(parts)
 
 
@@ -397,7 +397,7 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     prepending the suffixes of j must be pairwise distinct basis labels.
     """
     j = _primitive(j)
-    name = ",".join(map(str, j))
+    name = words._joined(j)
     v = PeriodicCFE._trusted((), j)
     entries = []
 
@@ -438,7 +438,7 @@ def cycle_dft_split(j0: Word, n: int) -> list[CheckEntry]:
     j0 = _primitive(j0)
     if n < 2:
         raise BadMultiplicity("need multiplicity n >= 2")
-    name = ",".join(map(str, j0))
+    name = words._joined(j0)
     vecs = [[r * m % n for m in range(n)] for r in range(n)]
     entries = []
     for r in range(n):

@@ -5,7 +5,9 @@ gcd(a, b, c) = 1); its radicand may still carry square factors.  Equality and
 hashing go through the primitive integral minimal polynomial and the sign of
 the square root's coefficient, so they coincide with equality of real numbers
 without any factoring.  The canonical form with squarefree d, which the text
-and JSON forms print, is computed on first use and kept on the value.
+and JSON forms print, is computed on first use and kept on the value, and so
+is its continued fraction expansion: a surd solved from a block carries that
+block from the start.
 Everything is big-integer exact; the only square roots ever taken are integer
 square roots used to bracket floors.  All values are immutable and all
 operations pure.
@@ -246,17 +248,23 @@ class QuadraticSurd:
     canonical form (c > 0, gcd(a, b, c) = 1, d squarefree); the first read
     factors d with :func:`squarefree_split` and the result is kept on the
     value.  Arithmetic inside the package reads the stored coefficients
-    ``_a, _b, _c, _d`` and never factors.
+    ``_a, _b, _c, _d`` and never factors.  ``_expansion`` holds the value's
+    :class:`~cuntzfrac.cfe.PeriodicCFE` once one is known; a pickled value
+    comes back without it, or its canonical view, and recomputes them.
     """
 
-    __slots__ = ("_a", "_b", "_c", "_d", "_canonical")
+    __slots__ = ("_a", "_b", "_c", "_d", "_canonical", "_expansion")
     __match_args__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_d", d)
+        # every slot is set, so the first read of _canonical or _expansion is
+        # an `is None` test; the slot setters skip the frozen __setattr__
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        _set_canonical(self, None)
+        _set_expansion(self, None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -268,13 +276,11 @@ class QuadraticSurd:
         return QuadraticSurd, (self._a, self._b, self._c, self._d)
 
     def _view(self) -> tuple[int, int, int, int]:
-        try:
-            return self._canonical
-        except AttributeError:
-            pass
-        s, f = squarefree_split(self._d)
-        view = (*_lowest_terms(self._a, self._b * s, self._c), f)
-        object.__setattr__(self, "_canonical", view)
+        view = self._canonical
+        if view is None:
+            s, f = squarefree_split(self._d)
+            view = (*_lowest_terms(self._a, self._b * s, self._c), f)
+            _set_canonical(self, view)
         return view
 
     a = property(lambda self: self._view()[0])
@@ -300,6 +306,11 @@ class QuadraticSurd:
 
     def __str__(self) -> str:
         return format_surd(self)
+
+
+_set_a, _set_b, _set_c, _set_d, _set_canonical, _set_expansion = (
+    getattr(QuadraticSurd, name).__set__ for name in QuadraticSurd.__slots__
+)
 
 
 @dataclass(frozen=True)
@@ -549,8 +560,9 @@ def surd_to_json(x: QuadraticSurd) -> dict[str, str]:
 
 
 def _json_int(v) -> int:
-    # int() would truncate a float and read a bool as 0 or 1
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
+    # int() would truncate a float, read a bool as 0 or 1 and a string's
+    # underscores as digit separators, which no text grammar accepts
+    if isinstance(v, bool) or not isinstance(v, (int, str)) or isinstance(v, str) and "_" in v:
         raise ParseError(f"not an integer: {v!r}")
     return int(v)
 

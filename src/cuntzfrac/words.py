@@ -1,8 +1,37 @@
-"""Finite-word utilities: border tables, primitivity, canonical rotations."""
+"""Finite-word utilities: border tables, primitivity, canonical rotations,
+and the comma-separated text of a word."""
 
 from __future__ import annotations
 
 Word = tuple[int, ...]
+
+
+class _Text(dict):
+    def __missing__(self, n: int) -> str:
+        return str(n)
+
+
+class _Entry(dict):
+    def __missing__(self, text: str) -> int:
+        return int(text)
+
+
+# entries below 1024 convert by one lookup, both ways.  Others, and text with
+# leading zeros or non-ASCII digits, convert on each lookup and are never
+# stored, so the tables stay fixed; past the int<->str digit limit the
+# conversion raises ValueError, for the caller's unlimited_digits to retry
+_TEXT = _Text((n, str(n)) for n in range(1024))
+_ENTRY = _Entry((t, n) for n, t in _TEXT.items())
+
+
+def _joined(w: Word) -> str:
+    """The entries of w in decimal, separated by commas: the one word text."""
+    return ",".join(map(_TEXT.__getitem__, w))
+
+
+def _entries(parts: list[str]) -> Word:
+    """The integers that the decimal strings in parts spell."""
+    return tuple(map(_ENTRY.__getitem__, parts))
 
 
 def failure_function(w: Word) -> list[int]:

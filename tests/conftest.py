@@ -26,6 +26,12 @@ def random_surd(rng: random.Random, max_d: int = 150) -> QuadraticSurd:
         return x
 
 
+def fresh(x: QuadraticSurd) -> QuadraticSurd:
+    """A value equal to x that keeps nothing computed on x, so cfe_periodic
+    walks it even when x came from surd_from_cfe and carries its block."""
+    return QuadraticSurd(x._a, x._b, x._c, x._d)
+
+
 _SHEAR = UnimodularMatrix(1, 1, 0, 1)
 _SWAP = UnimodularMatrix(0, 1, 1, 0)
 

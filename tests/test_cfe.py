@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import random_surd
+from conftest import fresh, random_surd
 import cuntzfrac
 from cuntzfrac import (
     ParseError,
@@ -33,7 +34,7 @@ from cuntzfrac import (
 from cuntzfrac import cfe
 from cuntzfrac.cfe import _FOLD_LEAF, _FOLD_MOD, _GUESS_FROM, _fold
 from cuntzfrac.surds import DomainError, _floor_pq
-from cuntzfrac.words import is_primitive
+from cuntzfrac.words import canonical_rotation, is_primitive
 
 
 class TestReciprocalState:
@@ -184,7 +185,7 @@ class TestSurdFromCFE:
             want = normalize(-bb, 1, 2 * rr, bb * bb + 4 * rr * qq)
             y = surd_from_cfe(PeriodicCFE((), period))
             assert (y._a, y._b, y._c, y._d) == (want._a, want._b, want._c, want._d)
-            assert cfe_periodic(y) == PeriodicCFE((), period)
+            assert cfe_periodic(fresh(y)) == PeriodicCFE((), period)
 
     def test_single_letter_family(self):
         for k in range(1, 8):
@@ -204,7 +205,7 @@ class TestSurdFromCFE:
                     if initial and initial[-1] == period[-1]:
                         continue
                     e = PeriodicCFE(initial, period)
-                    assert cfe_periodic(surd_from_cfe(e)) == e
+                    assert cfe_periodic(fresh(surd_from_cfe(e))) == e
 
     def test_round_trip_from_pq_window(self):
         # every state (P + sqrt(D))/Q in (0, 1) with P, Q in the window around
@@ -225,6 +226,55 @@ class TestSurdFromCFE:
                     assert surd_from_cfe(cfe_periodic(x)) == x
                     count += 1
         assert count > 100_000
+
+
+class TestStoredExpansion:
+    @staticmethod
+    def _walks(monkeypatch):
+        # every walk of cfe_periodic starts by reading the reciprocal state
+        walked = []
+        state = cfe._reciprocal_state
+
+        def spy(x):
+            walked.append(x)
+            return state(x)
+
+        monkeypatch.setattr(cfe, "_reciprocal_state", spy)
+        return walked
+
+    @pytest.mark.parametrize("guess_from", [_GUESS_FROM, 0], ids=["exact-fold", "certified-guess"])
+    def test_solved_surd_is_never_walked(self, monkeypatch, guess_from):
+        monkeypatch.setattr(cfe, "_GUESS_FROM", guess_from)
+        walked = self._walks(monkeypatch)
+        for e in (PeriodicCFE((), (1, 2, 3)), PeriodicCFE((9, 2), (1,)), PeriodicCFE((5,), (1, 1024, 2))):
+            x = surd_from_cfe(e)
+            assert cfe_periodic(x) is e
+            assert cuntzfrac.omega_class_label(x) == canonical_rotation(e.period)
+            assert cuntzfrac.classify_surd(x) == cuntzfrac.Cycle(e.period)
+            assert cuntzfrac.modular_equivalent(x, surd_from_cfe(sigma_shift(e)))
+        assert walked == []
+
+    def test_a_value_is_walked_once(self, monkeypatch):
+        x = normalize(-4, 1, 3, 37)
+        walked = self._walks(monkeypatch)
+        e = cfe_periodic(x)
+        assert cfe_periodic(x) is e == PeriodicCFE((), (1, 2, 3))
+        assert walked == [x]
+
+    def test_pickled_value_comes_back_without_it(self, monkeypatch):
+        e = PeriodicCFE((2,), (1, 2, 3))
+        y = pickle.loads(pickle.dumps(surd_from_cfe(e)))
+        assert y._expansion is None
+        walked = self._walks(monkeypatch)
+        assert cfe_periodic(y) == e
+        assert len(walked) == 1
+
+    def test_value_outside_the_interval_keeps_nothing(self):
+        x = normalize(1, 1, 2, 5)  # the golden ratio, above 1
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                cfe_periodic(x)
+            assert x._expansion is None
 
 
 class TestSigmaShift:
@@ -276,6 +326,11 @@ class TestBlockText:
             ("(0)", "partial quotients must be >= 1: '(0)'"),
             ("1,(0,2)", "partial quotients must be >= 1: '1,(0,2)'"),
             ("1,2", "not a block literal: '1,2'"),
+            # the grammar is checked on both parts before any entry is read
+            ("(0,x)", "not a block literal: '(0,x)'"),
+            ("0,(x)", "not a block literal: '0,(x)'"),
+            ("x,(0)", "not a block literal: 'x,(0)'"),
+            ("(0,1)", "partial quotients must be >= 1: '(0,1)'"),
         ],
     )
     def test_parse_error_texts(self, text, message):
@@ -325,15 +380,30 @@ class TestBlockText:
             assert parse_block(text) == e
             assert block_from_json({"initial": list(initial), "period": list(period)}) == e
 
+    @pytest.mark.parametrize(
+        "entry, digits",
+        [(1, "1"), (1023, "1023"), (1024, "1024"), (1025, "1025"),
+         (10**30, "1" + "0" * 30), (10**4999, "1" + "0" * 4999)],
+        ids=["1", "1023", "1024", "1025", "1e30", "5000-digits"],
+    )
+    def test_entries_of_any_size(self, entry, digits):
+        # below 1024 an entry converts by table lookup, above it by str and
+        # int; 5,000 digits pass the default int<->str limit only by the lift
+        e = PeriodicCFE((entry, 3), (2, entry))
+        assert format_block(e) == str(e) == f"{digits},3,(2,{digits})"
+        assert parse_block(f"{digits},3,(2,{digits})") == e
+        assert parse_block(f"00{digits},٣,(02,{digits})") == e
+
     def test_json_round_trip(self):
         e = PeriodicCFE((2,), (3, 1))
         obj = block_to_json(e)
         assert obj == {"initial": [2], "period": [3, 1]}
         assert block_from_json(obj) == e
 
-    @pytest.mark.parametrize("bad", [1.9, 2.0, True, False, None, 0])
+    @pytest.mark.parametrize("bad", [1.9, 2.0, True, False, None, 0, "1_000"])
     def test_json_rejects_non_integers(self, bad):
-        # int() would truncate 1.9 to 1 and read True as 1; 0 is no quotient
+        # int() would truncate 1.9 to 1, read True as 1 and "1_000" as 1000;
+        # 0 is no quotient
         for obj in ({"initial": [], "period": [bad, 2]}, {"initial": [bad], "period": [2]}):
             with pytest.raises(ParseError):
                 block_from_json(obj)
@@ -445,7 +515,7 @@ class TestCoreOracles:
         e = PeriodicCFE(initial, period)
         x = surd_from_cfe(e)
         assert x == _sequential_surd_from_cfe(e)
-        assert cfe_periodic(x) == e == _seen_dict_periodic(x)
+        assert cfe_periodic(fresh(x)) == e == _seen_dict_periodic(x)
 
     def test_long_period_matches_old_core(self):
         # sqrt(1000024) has a period of 1166 quotients: several levels of tree
@@ -457,7 +527,7 @@ class TestCoreOracles:
         assert surd_from_cfe(e) == _sequential_surd_from_cfe(e) == x
         shifted = minimal_period_normalize((3, 1, 4), e.period)
         assert surd_from_cfe(shifted) == _sequential_surd_from_cfe(shifted)
-        assert cfe_periodic(surd_from_cfe(shifted)) == shifted
+        assert cfe_periodic(fresh(surd_from_cfe(shifted))) == shifted
 
 
 def _fold_spy(monkeypatch):
@@ -569,7 +639,7 @@ class TestHugeCoefficients:
         e = parse_block("9," * 5000 + "(1)")
         x = surd_from_cfe(e)
         assert x.a.bit_length() > 30_000  # over 9,000 decimal digits
-        assert cfe_periodic(x) == e
+        assert cfe_periodic(fresh(x)) == e
         assert cfe_expand(x, 5002) == block_prefix(e, 5002)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
@@ -695,7 +765,7 @@ class TestHalfWalk:
                 lengths.add(len(period) % 2)
                 for r in range(len(period)):
                     rotated = period[r:] + period[:r]
-                    x = surd_from_cfe(PeriodicCFE((), rotated))
+                    x = fresh(surd_from_cfe(PeriodicCFE((), rotated)))
                     on_centre += _starts_on_a_centre(x)
                     assert cfe_periodic(x) == _full_walk_periodic(x) == PeriodicCFE((), rotated)
                     initial = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
@@ -744,7 +814,7 @@ class TestHalfWalk:
             w = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 30)))
             period = rng.choice((w, w + w[::-1], w + w[::-1][1:], w[:1] + w + w[:1] + w[::-1]))
             if is_primitive(period):
-                cases.append((period, surd_from_cfe(PeriodicCFE((), period))))
+                cases.append((period, fresh(surd_from_cfe(PeriodicCFE((), period)))))
         _count_steps(monkeypatch)
         halved = 0
         for period, x in cases:

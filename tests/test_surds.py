@@ -766,9 +766,9 @@ class TestTextForms:
         assert obj == {"a": "-4", "b": "1", "c": "3", "d": "37"}
         assert surd_from_json(obj) == x
 
-    @pytest.mark.parametrize("bad", [-1.7, 5.2, 1.0, True, False, None])
+    @pytest.mark.parametrize("bad", [-1.7, 5.2, 1.0, True, False, None, "1_000"])
     def test_json_rejects_non_integers(self, bad):
-        # int() would truncate -1.7 to -1 and read True as 1
+        # int() would truncate -1.7 to -1, read True as 1 and "1_000" as 1000
         for key in "abcd":
             obj = {"a": -1, "b": 1, "c": 2, "d": 5, key: bad}
             with pytest.raises(ParseError):

@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzfrac.words import (
+    _ENTRY,
+    _TEXT,
+    _entries,
+    _joined,
     canonical_rotation,
     failure_function,
     is_primitive,
@@ -131,3 +135,29 @@ def test_least_rotation_index_long_words(name):
     # words whose scans skip far ahead, restart often, or never mismatch
     w = LONG_WORDS[name]
     assert least_rotation_index(w) == smallest_least_rotation(w)
+
+
+# ---------------------------------------------------------------------------
+# word text: the oracle is the conversion the tables replace
+
+@pytest.mark.parametrize(
+    "w", [(1,), (1023,), (1024,), (1025,), (10**30,), (1, 1023, 1024, 1025, 10**30, 7)]
+)
+def test_word_text_matches_str_and_int(w):
+    text = _joined(w)
+    assert text == ",".join(map(str, w))
+    assert _entries(text.split(",")) == tuple(map(int, text.split(","))) == w
+
+
+def test_entries_read_what_isdecimal_admits():
+    parts = ["٣", "007", "0", "01023", "1024", "٠٠٢"]
+    assert all(map(str.isdecimal, parts))
+    assert _entries(parts) == tuple(map(int, parts)) == (3, 7, 0, 1023, 1024, 2)
+
+
+def test_tables_stay_fixed():
+    # entries past the tables convert on each lookup and are never stored
+    sizes = len(_TEXT), len(_ENTRY)
+    assert _joined((1024, 10**30)) == "1024," + "1" + "0" * 30
+    assert _entries(["1024", "٣", "007"]) == (1024, 3, 7)
+    assert (len(_TEXT), len(_ENTRY)) == sizes == (1024, 1024)
