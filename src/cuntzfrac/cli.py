@@ -174,8 +174,11 @@ def cmd_verify_examples(args) -> int:
             got = classify_surd(closed_form(*tup)[0])
             want = Cycle(tup)
             if got != want:
-                # the expansion itself is authoritative when the closed form drifts
-                oracle = classify_surd(surd_from_cfe(PeriodicCFE((), tup)))
+                # the expansion itself is authoritative when the closed form
+                # drifts: walk the solved root afresh, as the value that
+                # surd_from_cfe returns carries tup and would only echo it
+                y = surd_from_cfe(PeriodicCFE((), tup))
+                oracle = classify_surd(QuadraticSurd(y._a, y._b, y._c, y._d))
                 if oracle == want:
                     notes.append(f"{name} {tup}: closed form gave {got}, inverse construction confirms {want}")
                     got = oracle

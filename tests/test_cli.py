@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import cuntzfrac
-from cuntzfrac import cfe_periodic, cli, equivalence, families, format_block, normalize
+from cuntzfrac import cfe_periodic, cli, equivalence, families, format_block, normalize, surds
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
 
@@ -334,6 +334,33 @@ class TestVerifyExamples:
         assert (code, err) == (1, "")
         assert "three-letter blocks, entries<=5: 119/120 pass" in out
         assert out.splitlines()[-1] == json.dumps([failure])
+
+    def test_drift_a_wrong_root_carrying_its_block_fails(self, capsys, monkeypatch):
+        # a solved root carries its block, so the check must walk the root
+        # itself: a wrong root that carries the right block still fails
+        triple, solve = families.triple_block_surd, cli.surd_from_cfe
+
+        def drifting(*args):
+            if args == (1, 1, 2):
+                return families.single_block_surd(1), 0
+            return triple(*args)
+
+        def wrong_solve(e):
+            if e.period != (1, 1, 2):
+                return solve(e)
+            y = families.single_block_surd(1)
+            surds._set_expansion(y, e)
+            return y
+
+        monkeypatch.setattr(families, "triple_block_surd", drifting)
+        monkeypatch.setattr(cli, "surd_from_cfe", wrong_solve)
+        failure = {"instance": "triple (1, 1, 2)", "got": "P(1)", "expected": "P(1,1,2)"}
+        code, out, err = run(capsys, "verify-examples", "--format", "json")
+        payload = json.loads(out)
+        assert (code, err) == (1, "")
+        assert payload["passes"] == [50, 100, 119, 600]
+        assert payload["failures"] == [failure]
+        assert payload["notes"] == []
 
 
 class TestCorpus:
