@@ -23,7 +23,6 @@ from .surds import (
     _require_omega,
     _set_expansion,
     mobius_apply,
-    unlimited_digits,
 )
 
 Word = words.Word
@@ -385,7 +384,6 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
-@unlimited_digits
 def format_block(e: PeriodicCFE) -> str:
     period = "(" + words._joined(e.period) + ")"
     if not e.initial:
@@ -393,7 +391,6 @@ def format_block(e: PeriodicCFE) -> str:
     return words._joined(e.initial) + "," + period
 
 
-@unlimited_digits
 def parse_block(text: str) -> PeriodicCFE:
     """Parse `2,1,(3,1,4)` or `(1,2,3)`; the result is canonicalized.
 
@@ -418,7 +415,6 @@ def block_to_json(e: PeriodicCFE) -> dict[str, list[int]]:
     return {"initial": list(e.initial), "period": list(e.period)}
 
 
-@unlimited_digits
 def block_from_json(obj: dict) -> PeriodicCFE:
     try:
         if not all(isinstance(obj[k], (list, tuple)) for k in ("initial", "period")):
@@ -428,7 +424,7 @@ def block_from_json(obj: dict) -> PeriodicCFE:
         initial = tuple(_json_int(n) for n in obj["initial"])
         period = tuple(_json_int(n) for n in obj["period"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"not a block object: {obj!r}") from exc
+        raise ParseError(f"not a block object: {words._shown(obj)}") from exc
     if any(n < 1 for n in initial + period):
-        raise ParseError(f"partial quotients must be >= 1: {obj!r}")
+        raise ParseError(f"partial quotients must be >= 1: {words._shown(obj)}")
     return _canonical(initial, period)

@@ -23,7 +23,7 @@ from .cfe import (
     cfe_step_matrix,
     sigma_shift,
 )
-from .surds import QuadraticSurd, _require_omega, mobius_apply, unlimited_digits
+from .surds import QuadraticSurd, _require_omega, mobius_apply
 
 Word = words.Word
 
@@ -64,7 +64,7 @@ def is_nonperiodic(j: Word) -> bool:
 def _primitive(j: Word) -> Word:
     j = _word(j)
     if not words.is_primitive(j):
-        raise NotPrimitive(f"{j} is a proper power")
+        raise NotPrimitive(f"{words._shown(j)} is a proper power")
     return j
 
 
@@ -93,7 +93,6 @@ class Cycle:
         object.__setattr__(c, "word", word)
         return c
 
-    @unlimited_digits
     def __str__(self) -> str:
         return "P(" + words._joined(self.word) + ")"
 
@@ -114,7 +113,6 @@ class Chain:
         object.__setattr__(self, "prefix", tuple(self.prefix))
         _check_quotients(self.prefix, "prefix entries")
 
-    @unlimited_digits
     def __str__(self) -> str:
         return "P(" + words._joined(self.prefix) + ",...)"
 
@@ -178,7 +176,6 @@ class WordOperator:
             return self
         return WordOperator._trusted(self.right, self.left)
 
-    @unlimited_digits
     def __str__(self) -> str:
         if self.zero:
             return "0"
@@ -388,7 +385,6 @@ def orbit_decompose(space) -> dict[Cycle, frozenset[PeriodicCFE]]:
     return {Cycle._of(k): frozenset(v) for k, v in buckets.items()}
 
 
-@unlimited_digits
 def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     """Verify the cyclic fixed vector of a primitive word symbolically.
 
@@ -424,7 +420,6 @@ def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     return entries
 
 
-@unlimited_digits
 def cycle_dft_split(j0: Word, n: int) -> list[CheckEntry]:
     """Split the n-fold cycle over a primitive word into eigenvectors.
 

@@ -15,15 +15,15 @@ operations pure.
 
 from __future__ import annotations
 
-import _thread  # a lock without importing threading, which costs start-up time
 import functools
 import itertools
 import math
 import random
 import re
-import sys
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+
+from .words import _digits, _number, _shown
 
 
 class NotIrrational(ValueError):
@@ -371,10 +371,10 @@ def normalize(a: int, b: int, c: int, d: int) -> QuadraticSurd:
     if d < 0:
         raise ValueError("radicand must be positive")
     if d == 0 or b == 0:
-        raise NotIrrational(f"({a} + {b}*sqrt({d}))/{c} is rational")
+        raise NotIrrational(f"({_digits(a)} + {_digits(b)}*sqrt({_digits(d)}))/{_digits(c)} is rational")
     r = math.isqrt(d)
     if r * r == d:
-        raise NotIrrational(f"sqrt({d}) = {r} is an integer")
+        raise NotIrrational(f"sqrt({_digits(d)}) = {_digits(r)} is an integer")
     return QuadraticSurd(*_lowest_terms(a, b, c), d)
 
 
@@ -465,98 +465,29 @@ def field_discriminant(x: QuadraticSurd) -> int:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
-# the count of lifted calls running and the interpreter-wide limit change
-# together under this lock: the first call in saves and lifts the limit, the
-# last one out restores it, so overlapping calls never restore each other's 0
-_DIGITS_LOCK = _thread.allocate_lock()
-_digits_users = 0
-_digits_saved = 0
-_lifts = _thread._local()  # .held: the lifted calls running in this thread
-
-
-def _lift_digits(fn):
-    """Decorator: run fn with CPython's int<->str digit limit lifted.
-
-    The limit is lifted while any lifted call runs, in any thread, and
-    restored when the last of them returns; interpreters without the limit
-    get fn unchanged.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return fn
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        global _digits_users, _digits_saved
-        with _DIGITS_LOCK:
-            if not _digits_users:
-                _digits_saved = sys.get_int_max_str_digits()
-                sys.set_int_max_str_digits(0)
-            _digits_users += 1
-        _lifts.held = getattr(_lifts, "held", 0) + 1
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _lifts.held -= 1
-            with _DIGITS_LOCK:
-                _digits_users -= 1
-                if not _digits_users:
-                    sys.set_int_max_str_digits(_digits_saved)
-
-    return wrapper
-
-
-def unlimited_digits(fn):
-    """Decorator: let fn convert integers of any size to and from text.
-
-    fn runs plainly, and once more under :func:`_lift_digits` only if it
-    raises ValueError, as a conversion past the digit limit does.  fn must be
-    pure, so the retry gives the same answer, and numbers below 4,300 digits
-    never take the lock.  A thread that already holds the lift re-raises at
-    once; elsewhere an error path simply runs twice.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return fn
-    lifted = _lift_digits(fn)
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValueError:
-            if getattr(_lifts, "held", 0):
-                raise
-        # outside the except clause, so a second error is not chained to the first
-        return lifted(*args, **kwargs)
-
-    return wrapper
-
-
 _SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/([+-]?\d+)$")
 
 
-@unlimited_digits
 def _surd_text(a: int, b: int, c: int, d: int) -> str:
-    return f"({a}{b:+d}*sqrt({d}))/{c}"
+    return f"({_digits(a)}{'+' * (b >= 0)}{_digits(b)}*sqrt({_digits(d)}))/{_digits(c)}"
 
 
 def format_surd(x: QuadraticSurd) -> str:
     return _surd_text(*x._view())
 
 
-@unlimited_digits
 def parse_surd(text: str) -> QuadraticSurd:
     """Parse `(<a>+<b>*sqrt(<d>))/<c>`, e.g. `(-1+1*sqrt(5))/2`."""
     m = _SURD_RE.match("".join(text.split()))
     if not m:
         raise ParseError(f"not a surd literal: {text!r}")
-    a, b, d, c = (int(g) for g in m.groups())
+    a, b, d, c = map(_number, m.groups())
     return normalize(a, b, c, d)
 
 
-@unlimited_digits
 def surd_to_json(x: QuadraticSurd) -> dict[str, str]:
     a, b, c, d = x._view()
-    return {"a": str(a), "b": str(b), "c": str(c), "d": str(d)}
+    return {"a": _digits(a), "b": _digits(b), "c": _digits(c), "d": _digits(d)}
 
 
 def _json_int(v) -> int:
@@ -564,17 +495,23 @@ def _json_int(v) -> int:
     # underscores as digit separators, which no text grammar accepts
     if isinstance(v, bool) or not isinstance(v, (int, str)) or isinstance(v, str) and "_" in v:
         raise ParseError(f"not an integer: {v!r}")
-    return int(v)
+    try:
+        return int(v)
+    except ValueError:
+        # past the digit limit: int() reads a signed digit run inside whitespace
+        t = v.strip()
+        if not (t[1:] if t[:1] in ("+", "-") else t).isdecimal():
+            raise
+        return _number(t)
 
 
-@unlimited_digits
 def surd_from_json(obj: dict) -> QuadraticSurd:
     try:
         return normalize(*(_json_int(obj[k]) for k in ("a", "b", "c", "d")))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (NotIrrational, ZeroDenominator)):
             raise
-        raise ParseError(f"not a surd object: {obj!r}") from exc
+        raise ParseError(f"not a surd object: {_shown(obj)}") from exc
 
 
 def approx_decimal(x: QuadraticSurd, digits: int) -> str:
@@ -585,14 +522,9 @@ def approx_decimal(x: QuadraticSurd, digits: int) -> str:
     if digits < 0:
         raise ValueError("digits must be >= 0")
     scale = 10 ** digits
-    return _decimal_text(_floor_ratio(x._a * scale, x._b, x._c, x._d * scale * scale), digits)
-
-
-@unlimited_digits  # only the conversion, so a retry never redoes the isqrt
-def _decimal_text(k: int, digits: int) -> str:
-    # k / 10**digits in decimal
+    k = _floor_ratio(x._a * scale, x._b, x._c, x._d * scale * scale)
     if digits == 0:
-        return str(k)
+        return _digits(k)
     sign = "-" if k < 0 else ""
-    mag = str(abs(k)).zfill(digits + 1)
+    mag = _digits(abs(k)).zfill(digits + 1)
     return f"{sign}{mag[:-digits]}.{mag[-digits:]}"

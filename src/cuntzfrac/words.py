@@ -1,25 +1,67 @@
 """Finite-word utilities: border tables, primitivity, canonical rotations,
-and the comma-separated text of a word."""
+the comma-separated text of a word, and integer text of any size."""
 
 from __future__ import annotations
 
 Word = tuple[int, ...]
 
 
-class _Text(dict):
-    def __missing__(self, n: int) -> str:
+def _digits(n: int) -> str:
+    """str(n), also past CPython's int<->str digit limit, which it never changes.
+
+    A number past the limit is cut by divmod at about half its digits, and
+    each half is written the same way; the low half is padded with zeros.
+    """
+    try:
         return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _digits(-n)
+        k = n.bit_length() * 1233 >> 13  # 1233/2**12 < log10(2): at most half the digits
+        hi, lo = divmod(n, 10**k)
+        return _digits(hi) + _digits(lo).zfill(k)
+
+
+def _number(s: str) -> int:
+    """int(s) for a run of decimal digits with an optional sign, also past the limit.
+
+    A grammar must have checked s: int() also reads surrounding whitespace
+    and underscores, which a cut through the run would let inside it.
+    """
+    try:
+        return int(s)
+    except ValueError:
+        if s[0] in "+-":
+            n = _number(s[1:])
+            return -n if s[0] == "-" else n
+        k = len(s) // 2
+        return _number(s[:k]) * 10 ** (len(s) - k) + _number(s[k:])
+
+
+def _shown(v) -> str:
+    """repr(v), also where dicts, lists and tuples in v hold ints past the limit."""
+    try:
+        return repr(v)
+    except ValueError:
+        if type(v) is dict:
+            return "{" + ", ".join(f"{_shown(k)}: {_shown(x)}" for k, x in v.items()) + "}"
+        if type(v) in (list, tuple):
+            inner = ", ".join(map(_shown, v)) + "," * (type(v) is tuple and len(v) == 1)
+            return f"[{inner}]" if type(v) is list else f"({inner})"
+        return _digits(v)
+
+
+class _Text(dict):
+    __missing__ = staticmethod(_digits)
 
 
 class _Entry(dict):
-    def __missing__(self, text: str) -> int:
-        return int(text)
+    __missing__ = staticmethod(_number)
 
 
 # entries below 1024 convert by one lookup, both ways.  Others, and text with
 # leading zeros or non-ASCII digits, convert on each lookup and are never
-# stored, so the tables stay fixed; past the int<->str digit limit the
-# conversion raises ValueError, for the caller's unlimited_digits to retry
+# stored, so the tables stay fixed
 _TEXT = _Text((n, str(n)) for n in range(1024))
 _ENTRY = _Entry((t, n) for n, t in _TEXT.items())
 

@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+
+import pytest
 
 from cuntzfrac import (
     QuadraticSurd,
@@ -42,3 +45,43 @@ def random_unimodular(rng: random.Random, max_len: int = 10) -> UnimodularMatrix
     for _ in range(rng.randint(1, max_len)):
         m = m @ (_SHEAR if rng.random() < 0.5 else _SWAP)
     return m
+
+
+# the real setter, kept before any test replaces it with a spy
+_set_limit = getattr(sys, "set_int_max_str_digits", None)
+
+
+def unlimited(fn, *args):
+    """fn(*args) with CPython's int<->str digit limit lifted: the reference
+    that conversions under the limit are checked against."""
+    if _set_limit is None:
+        return fn(*args)
+    saved = sys.get_int_max_str_digits()
+    _set_limit(0)
+    try:
+        return fn(*args)
+    finally:
+        _set_limit(saved)
+
+
+def raised(fn, *args):
+    """The type and text of the exception that fn(*args) raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+@pytest.fixture
+def digit_limit(monkeypatch):
+    """The digit limit at CPython's default of 4,300, restored afterwards;
+    yields the list of the values that anything sets it to meanwhile."""
+    if _set_limit is None:
+        pytest.skip("no int<->str digit limit")
+    saved = sys.get_int_max_str_digits()
+    _set_limit(4_300)
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: calls.append(n) or _set_limit(n))
+    try:
+        yield calls
+    finally:
+        _set_limit(saved)

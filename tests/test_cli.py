@@ -9,7 +9,19 @@ import sys
 import pytest
 
 import cuntzfrac
-from cuntzfrac import cfe_periodic, cli, equivalence, families, format_block, normalize, surds
+from conftest import fresh
+from cuntzfrac import (
+    Cycle,
+    PeriodicCFE,
+    cfe_periodic,
+    classify_surd,
+    equivalence,
+    families,
+    format_block,
+    in_omega,
+    normalize,
+    surd_from_cfe,
+)
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
 
@@ -280,15 +292,32 @@ class TestVerifyExamples:
             '"passes": [50, 100, 120, 600], "radicand_123": 148}\n'
         )
 
-    @pytest.mark.parametrize("name, tup, note", [
-        ("triple", (1, 1, 2),
-         "triple (1, 1, 2): closed form gave P(1), inverse construction confirms P(1,1,2)"),
-        ("quad", (1, 3, 1, 2),
-         "quad (1, 3, 1, 2): closed form gave P(1), inverse construction confirms P(1,2,1,3)"),
-    ])
-    def test_closed_form_drift_falls_back(self, capsys, monkeypatch, name, tup, note):
-        # a closed form that drifts for one tuple is overruled by the inverse
-        # construction, and the sweep says so in a note
+    def test_closed_forms_are_the_folds(self):
+        # the closed forms are identities, so the sweep needs no fallback: the
+        # fold [[p, q], [r, s]] of each word's step matrices gives the
+        # polynomial r*y^2 + (s-p)*y - q of the purely periodic number with
+        # that period, its one root in (0, 1) as q, r > 0, and the closed
+        # form's value is that root
+        grid = ((families.triple_block_surd, 3, 12), (families.quad_block_surd, 4, 8))
+        for closed_form, arity, top in grid:
+            for tup in itertools.product(range(1, top + 1), repeat=arity):
+                p, q, r, s = 1, 0, 0, 1
+                for a in tup:
+                    p, q, r, s = q, p + q * a, s, r + s * a
+                g = math.gcd(r, s - p, q)
+                x = closed_form(*tup)[0]
+                poly = (x.c * x.c, -2 * x.a * x.c, x.a * x.a - x.b * x.b * x.d)
+                h = math.gcd(*poly)
+                assert tuple(k // h for k in poly) == (r // g, (s - p) // g, -q // g), tup
+                assert in_omega(x), tup
+
+    @pytest.mark.parametrize("name, tup, failure", [
+        ("triple", (1, 1, 2), {"instance": "triple (1, 1, 2)", "got": "P(1)", "expected": "P(1,1,2)"}),
+        ("quad", (1, 3, 1, 2), {"instance": "quad (1, 3, 1, 2)", "got": "P(1)", "expected": "P(1,2,1,3)"}),
+    ], ids=["triple", "quad"])
+    def test_closed_form_drift_fails(self, capsys, monkeypatch, name, tup, failure):
+        # a closed form that drifts for one tuple fails that row: the sweep
+        # exits 1 and lists it, in JSON and as the last line of its text
         constructor = getattr(families, f"{name}_block_surd")
 
         def drifting(*args):
@@ -297,70 +326,32 @@ class TestVerifyExamples:
             return constructor(*args)
 
         monkeypatch.setattr(families, f"{name}_block_surd", drifting)
-        code, out, _ = run(capsys, "verify-examples", "--format", "json")
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["passes"] == [50, 100, 120, 600]
-        assert payload["failures"] == []
-        assert payload["notes"] == [note]
-        code, out, _ = run(capsys, "verify-examples")
-        assert code == 0
-        assert out.splitlines()[-1] == note
-
-
-    def test_drift_the_inverse_construction_confirms_fails(self, capsys, monkeypatch):
-        # the closed form drifts for (1, 1, 2) and the inverse construction
-        # disagrees too: the row fails, the sweep exits 1 and lists it
-        triple, solve = families.triple_block_surd, cli.surd_from_cfe
-
-        def drifting(*args):
-            if args == (1, 1, 2):
-                return families.single_block_surd(1), 0
-            return triple(*args)
-
-        def wrong_solve(e):
-            return families.single_block_surd(1) if e.period == (1, 1, 2) else solve(e)
-
-        monkeypatch.setattr(families, "triple_block_surd", drifting)
-        monkeypatch.setattr(cli, "surd_from_cfe", wrong_solve)
-        failure = {"instance": "triple (1, 1, 2)", "got": "P(1)", "expected": "P(1,1,2)"}
         code, out, err = run(capsys, "verify-examples", "--format", "json")
         payload = json.loads(out)
         assert (code, err) == (1, "")
-        assert payload["passes"] == [50, 100, 119, 600]
+        assert payload["passes"] == ([50, 100, 119, 600] if name == "triple" else [50, 100, 120, 599])
         assert payload["failures"] == [failure]
         assert payload["notes"] == []
         code, out, err = run(capsys, "verify-examples")
         assert (code, err) == (1, "")
-        assert "three-letter blocks, entries<=5: 119/120 pass" in out
         assert out.splitlines()[-1] == json.dumps([failure])
 
-    def test_drift_a_wrong_root_carrying_its_block_fails(self, capsys, monkeypatch):
-        # a solved root carries its block, so the check must walk the root
-        # itself: a wrong root that carries the right block still fails
-        triple, solve = families.triple_block_surd, cli.surd_from_cfe
+    def test_drift_the_inverse_construction_confirms_fails(self, capsys, monkeypatch):
+        # the inverse construction gives (1, 1, 2) its class, yet a closed
+        # form that drifts there still fails the row: nothing overrules it
+        assert classify_surd(fresh(surd_from_cfe(PeriodicCFE((), (1, 1, 2))))) == Cycle((1, 1, 2))
+        triple = families.triple_block_surd
 
         def drifting(*args):
             if args == (1, 1, 2):
                 return families.single_block_surd(1), 0
             return triple(*args)
 
-        def wrong_solve(e):
-            if e.period != (1, 1, 2):
-                return solve(e)
-            y = families.single_block_surd(1)
-            surds._set_expansion(y, e)
-            return y
-
         monkeypatch.setattr(families, "triple_block_surd", drifting)
-        monkeypatch.setattr(cli, "surd_from_cfe", wrong_solve)
-        failure = {"instance": "triple (1, 1, 2)", "got": "P(1)", "expected": "P(1,1,2)"}
-        code, out, err = run(capsys, "verify-examples", "--format", "json")
-        payload = json.loads(out)
+        code, out, err = run(capsys, "verify-examples")
         assert (code, err) == (1, "")
-        assert payload["passes"] == [50, 100, 119, 600]
-        assert payload["failures"] == [failure]
-        assert payload["notes"] == []
+        assert "three-letter blocks, entries<=5: 119/120 pass" in out
+        assert "inverse construction" not in out
 
 
 class TestCorpus:

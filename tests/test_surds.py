@@ -18,26 +18,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_surd, random_unimodular
+from conftest import raised, random_surd, random_unimodular, unlimited
 from cuntzfrac import (
+    Chain,
     Cycle,
     NotIrrational,
     ParseError,
     PeriodicCFE,
     QuadraticSurd,
     UnimodularMatrix,
+    WordOperator,
     ZeroDenominator,
     apply_and_reduce,
     approx_decimal,
+    block_from_json,
     cfe_expand,
     cfe_periodic,
     classify_surd,
     cmp_int,
+    cycle_dft_split,
     field_discriminant,
     floor_of,
     format_block,
     format_surd,
     gauss_tau,
+    gp_vector_check,
     in_omega,
     intertwiner_check,
     mobius_apply,
@@ -53,7 +58,7 @@ from cuntzfrac import (
     surd_from_json,
     surd_to_json,
 )
-from cuntzfrac import surds
+from cuntzfrac import surds, words
 from cuntzfrac.cli import main
 from cuntzfrac.surds import DomainError
 
@@ -802,20 +807,6 @@ BIG_A = "1" + "0" * 9_999 + "7"  # 10**10_000 + 7
 BIG_C = "2" + "0" * 9_999 + "1"  # 2 * 10**10_000 + 1
 
 
-class CountingLock:
-    """Stand-in for the digit-limit lock that counts its entries."""
-
-    def __init__(self):
-        self.lock, self.acquired = threading.Lock(), 0
-
-    def __enter__(self):
-        self.acquired += 1
-        return self.lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self.lock.__exit__(*exc)
-
-
 class TestHugeCoefficients:
     def _big(self):
         return normalize(10**10_000 + 7, 3, 2 * 10**10_000 + 1, 5)
@@ -841,73 +832,104 @@ class TestHugeCoefficients:
             want = str((Decimal(5).sqrt() - 1) / 2)[: 2 + 5_000]
         assert approx_decimal(normalize(-1, 1, 2, 5), 5_000) == want
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
-    def test_small_numbers_never_take_the_lock(self, monkeypatch):
-        counting = CountingLock()
-        monkeypatch.setattr(surds, "_DIGITS_LOCK", counting)
-        before = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4_300)
-        try:
-            x = normalize(-4, 1, 3, 37)
-            assert format_block(PeriodicCFE((), (1, 2))) == "(1,2)"
-            assert parse_block("2,1,(3,1,4)") == PeriodicCFE((2, 1), (3, 1, 4))
-            assert parse_surd("(-4+1*sqrt(37))/3") == x
-            assert format_surd(x) == "(-4+1*sqrt(37))/3"
-            assert surd_to_json(x) == {"a": "-4", "b": "1", "c": "3", "d": "37"}
-            assert str(Cycle((1, 2, 3))) == "P(1,2,3)"
-            assert counting.acquired == 0
-            big = PeriodicCFE((), (10**5000, 1))  # an entry of 5,001 digits
-            assert parse_block(format_block(big)) == big
-            assert counting.acquired >= 1
-            assert sys.get_int_max_str_digits() == 4_300
-        finally:
-            sys.set_int_max_str_digits(before)
+    @pytest.mark.parametrize("n", [10**5000 + 7, 10**50_005 + 12_345], ids=["5001", "50006"])
+    def test_no_codec_changes_the_limit(self, digit_limit, n):
+        # every codec of the README's "Large integers" paragraph, at 5,001 and
+        # 50,006 digits: right answers under the default limit, which nothing
+        # sets, and whose text never passes it
+        t, t2 = unlimited(str, n), unlimited(str, 2 * n + 1)
+        x = normalize(n, 3, 2 * n + 1, 5)
+        text, obj = f"({t}+3*sqrt(5))/{t2}", {"a": t, "b": "3", "c": t2, "d": "5"}
+        assert format_surd(x) == text and parse_surd(text) == x
+        assert surd_to_json(x) == obj and surd_from_json(obj) == x
+        golden = normalize(-1, 1, 2, 5)
+        assert approx_decimal(golden, len(t)) == unlimited(approx_decimal, golden, len(t))
+        e = PeriodicCFE((n, 3), (1, n))
+        assert format_block(e) == f"{t},3,(1,{t})" and parse_block(f"{t},3,(1,{t})") == e
+        assert block_from_json({"initial": [t, "3"], "period": ["1", t]}) == e
+        assert str(Cycle((n, 1))) == f"P(1,{t})"
+        assert str(Chain((n,))) == f"P({t},...)"
+        assert str(WordOperator((n,), (2,))) == f"s[{t}]s[2]*"
+        assert [c.instance for c in gp_vector_check((n,))] == [f"J=({t})", f"J=({t}),labels=1/1"]
+        assert cycle_dft_split((n,), 2)[-1].instance == f"J=({t})^2"
+        assert digit_limit == []
+        assert sys.get_int_max_str_digits() == 4_300
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
-    def test_error_paths_run_once_under_a_held_lift(self, monkeypatch, tmp_path):
-        # the command line holds the lift for the whole command, so a codec
-        # that fails inside it re-raises at once instead of retrying under
-        # the lock; a thread that holds no lift still retries
-        counting = CountingLock()
-        monkeypatch.setattr(surds, "_DIGITS_LOCK", counting)
+    def test_json_strings_past_the_limit(self, digit_limit):
+        # what int() reads, a signed run of decimal digits inside whitespace,
+        # decodes past the limit as it does with the limit lifted
+        t = "1" + "0" * 5000 + "7"
+        for s in (f" -{t}\n", f"+{t}", f"\t{t} ", "0" * 5000 + "7", "\u0663" * 5001):
+            obj = {"a": s, "b": "3", "c": "2", "d": "5"}
+            assert surd_from_json(obj) == unlimited(surd_from_json, obj)
+            obj = {"initial": [s.replace("-", "+"), "2"], "period": ["1"]}
+            assert block_from_json(obj) == unlimited(block_from_json, obj)
+        assert digit_limit == []
+
+    def test_error_texts_past_the_limit(self, digit_limit):
+        # malformed strings, and malformed objects that hold ints past the
+        # limit, raise what they raise with the limit lifted, text and all
+        t, n = "1" + "0" * 5000 + "7", 10**5000 + 7
+        for s in (f"- {t}", f"{t} 1", f"++{t}", f"{t}x", f"{t}.0", "", " "):
+            for fn, obj in ((surd_from_json, {"a": s, "b": "3", "c": "2", "d": "5"}),
+                            (block_from_json, {"initial": [s], "period": ["1"]})):
+                assert raised(fn, obj) == unlimited(raised, fn, obj)
+        for fn, arg in ((surd_from_json, {"a": n, "b": 1, "c": 1, "d": -2}),
+                        (surd_from_json, {"a": n, "b": 0, "c": 1, "d": n}),
+                        (block_from_json, {"initial": [n], "period": []}),
+                        (block_from_json, {"initial": (n,), "period": [0]}),
+                        (parse_surd, f"(1+0*sqrt({t}))/1"),
+                        (parse_surd, f"(1+1*sqrt({unlimited(str, n * n)}))/1"),
+                        (gp_vector_check, (n, n))):
+            assert raised(fn, arg) == unlimited(raised, fn, arg)
+        assert digit_limit == []
+
+    def test_error_paths_run_once(self, digit_limit, monkeypatch, tmp_path):
+        # a codec that fails raises from its one run, in library code and in
+        # the command line, which lifts the limit once for the whole command
+        calls = []
+        entries = words._entries
+        monkeypatch.setattr(words, "_entries", lambda parts: calls.append(parts) or entries(parts))
+        with pytest.raises(ParseError, match="partial quotients must be >= 1"):
+            parse_block("(1,0)")
+        assert calls == [[], ["1", "0"]]
+        assert digit_limit == []
+        calls.clear()
         corpus = tmp_path / "errors.txt"
         corpus.write_text("".join(f"(1,{k},0)\n" for k in range(1, 1_001)))
         assert main(["corpus", str(corpus), "solve"]) == 1
         results = json.loads((tmp_path / "errors.txt.results.json").read_text())
         assert [r["status"] for r in results] == ["error"] * 1_000
-        assert counting.acquired <= 2
-        counting.acquired = 0
-        with pytest.raises(ParseError):
-            parse_block("(1,0)")
-        assert counting.acquired >= 1
+        assert len(calls) == 2 * 1_000
+        assert digit_limit == [0, 4_300]
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
-    def test_limit_is_restored(self):
-        before = sys.get_int_max_str_digits()
+    def test_limit_is_restored(self, digit_limit):
+        # the limit is as it was: no codec changes it, on success or error
         format_surd(self._big())
         approx_decimal(self._big(), 5_000)
         with pytest.raises(ParseError):
             parse_surd(f"({BIG_A}+3*sqrt(5)/{BIG_C}")
-        assert sys.get_int_max_str_digits() == before
+        assert digit_limit == []
+        assert sys.get_int_max_str_digits() == 4_300
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
-    def test_limit_is_restored_under_threads(self):
-        # overlapping codecs lift the limit once between them; each one saving
-        # and restoring on its own would restore another's 0, or convert a
-        # 5,001-digit number while another has just put 4,300 back
-        x = normalize(-10**5000, 1, 1, 10**10000 + 1)
+    def test_limit_is_restored_under_threads(self, digit_limit):
+        # threads convert 5,001-digit numbers at once under the default limit,
+        # switching every microsecond; each gets the right answers, and the
+        # limit is never changed
+        x = normalize(10**5000, 1, 1, 2)
         block = PeriodicCFE((), (10**5000, 1))
+        approx, text = unlimited(approx_decimal, x, 20), unlimited(format_block, block)
         errors = []
 
         def work():
             try:
                 for _ in range(200):
-                    assert approx_decimal(x, 20) == "0." + "0" * 20
-                    assert parse_block(format_block(block)) == block
+                    assert approx_decimal(x, 20) == approx
+                    assert format_block(block) == text
+                    assert parse_block(text) == block
             except Exception as exc:
                 errors.append(exc)
 
-        before = sys.get_int_max_str_digits()
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -919,7 +941,6 @@ class TestHugeCoefficients:
                 assert not w.is_alive()
         finally:
             sys.setswitchinterval(saved)
-            after = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(before)
         assert errors == []
-        assert after == before
+        assert digit_limit == []
+        assert sys.get_int_max_str_digits() == 4_300

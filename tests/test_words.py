@@ -1,15 +1,20 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import unlimited
 from cuntzfrac.words import (
     _ENTRY,
     _TEXT,
+    _digits,
     _entries,
     _joined,
+    _number,
+    _shown,
     canonical_rotation,
     failure_function,
     is_primitive,
@@ -161,3 +166,53 @@ def test_tables_stay_fixed():
     assert _joined((1024, 10**30)) == "1024," + "1" + "0" * 30
     assert _entries(["1024", "٣", "007"]) == (1024, 3, 7)
     assert (len(_TEXT), len(_ENTRY)) == sizes == (1024, 1024)
+
+
+# ---------------------------------------------------------------------------
+# numbers past the int<->str digit limit: the oracle is str, int and repr
+# with the limit lifted
+
+@pytest.fixture(params=[640, 4_300])
+def limit(request):
+    # 640 is the lowest limit CPython accepts, 4,300 its default
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int<->str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(saved)
+
+
+def _edges(limit):
+    # limit - 1, limit and limit + 1 digits, powers of ten and the numbers
+    # below them, low halves that need zero padding, and their negatives
+    edges = [0, 7, 10 ** (limit - 2), 10 ** (limit - 1), 10**limit - 1, 10**limit,
+             10 ** (limit + 1) - 1, 10**5000 - 1, 10**5000, 10**5000 + 1, 10**5000 + 7,
+             unlimited(int, "123456789" * 556), 10**50_005 + 12_345]
+    return edges + [-n for n in edges]
+
+
+def test_digits_match_str(limit):
+    for n in _edges(limit):
+        assert _digits(n) == unlimited(str, n)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_number_matches_int(limit):
+    for n in _edges(limit):
+        s = unlimited(str, n)
+        assert _number(s) == n
+        if n >= 0:
+            assert _number("+" + s) == _number("0" * limit + s) == n
+    # non-ASCII decimal digits: Arabic-Indic, Devanagari, fullwidth
+    for s in ("\u0663" * (limit + 1), "\u0966\u0967\u0968\u0969\u096f" * (limit // 4),
+              "-" + "\uff17" * limit + "1"):
+        assert s[-1].isdecimal()
+        assert _number(s) == unlimited(int, s)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_shown_matches_repr(limit):
+    big = 10**limit + 7
+    for v in ({"a": big, "b": [1, -big, (big,)], "c": "x"}, (big,), [big, (1, 2)], -big, "x" * limit):
+        assert _shown(v) == unlimited(repr, v)
