@@ -60,7 +60,7 @@ class PeriodicCFE:
             raise ValueError("period must be nonempty")
         _check_quotients(self.initial + self.period)
         if not words.is_primitive(self.period):
-            raise ValueError(f"period {self.period} is not primitive")
+            raise ValueError(f"period {words._shown(self.period)} is not primitive")
         if self.initial and self.initial[-1] == self.period[-1]:
             raise ValueError("initial block ends inside the period; not canonical")
 
@@ -73,6 +73,9 @@ class PeriodicCFE:
         object.__setattr__(e, "initial", initial)
         object.__setattr__(e, "period", period)
         return e
+
+    def __repr__(self) -> str:
+        return f"PeriodicCFE(initial={words._shown(self.initial)}, period={words._shown(self.period)})"
 
     def __str__(self) -> str:
         return format_block(self)
@@ -257,89 +260,142 @@ def cfe_step_matrix(a: int) -> UnimodularMatrix:
 
 # blocks at most this long are folded one matrix at a time
 _FOLD_LEAF = 32
-# periods longer than this are solved from their fold mod _FOLD_MOD first; the
-# measured crossover, below which the exact tree is faster than the guess
-_GUESS_FROM = 20_000
-# a Mersenne prime: every residue but 0 inverts
-_FOLD_MOD = 2**127 - 1
+# periods longer than this are solved from a short prefix first.  The guess
+# reads at most n/32 quotients from each end and its first try reads 8, so it
+# can start at 256; on sqrt(d) periods it beats the exact tree from about 64
+_GUESS_FROM = 256
 
 
-def _fold(w: Word, lo: int, hi: int, m: int = 0) -> tuple[int, int, int, int]:
-    # entries (p, q, r, s) of the product of cfe_step_matrix(a) over w[lo:hi],
-    # reduced mod m when m is set; halving keeps the operands of each big
-    # multiplication balanced
+def _fold(w: Word, lo: int, hi: int) -> tuple[int, int, int, int]:
+    # entries (p, q, r, s) of the product of cfe_step_matrix(a) over w[lo:hi];
+    # halving keeps the operands of each big multiplication balanced
     if hi - lo <= _FOLD_LEAF:
         p, q, r, s = 1, 0, 0, 1
         for i in range(lo, hi):
             a = w[i]
             p, q, r, s = q, p + q * a, s, r + s * a
-    else:
-        mid = (lo + hi) // 2
-        p1, q1, r1, s1 = _fold(w, lo, mid, m)
-        p2, q2, r2, s2 = _fold(w, mid, hi, m)
-        p, q, r, s = p1 * p2 + q1 * r2, p1 * q2 + q1 * s2, r1 * p2 + s1 * r2, r1 * q2 + s1 * s2
-    if m:
-        return p % m, q % m, r % m, s % m
-    return p, q, r, s
+        return p, q, r, s
+    mid = (lo + hi) // 2
+    p1, q1, r1, s1 = _fold(w, lo, mid)
+    p2, q2, r2, s2 = _fold(w, mid, hi)
+    return p1 * p2 + q1 * r2, p1 * q2 + q1 * s2, r1 * p2 + s1 * r2, r1 * q2 + s1 * s2
 
 
-def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
-    # n/d in lowest terms with n = u*d mod m, |n| <= bound and 0 < d <= bound,
-    # by the half extended Euclidean algorithm (Wang); unique when
-    # 2*bound*bound < m
-    r0, r1, t0, t1 = m, u, 0, 1
-    while r1 > bound:
-        k = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if t1 > bound or math.gcd(r1, t1) != 1:
-        return None
-    return r1, t1
+def _pinned(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
+    # the rational h/k of least denominator strictly between a/b and c/d, for
+    # 0 <= a/b < c/d with b, d > 0, in lowest terms: the continued fraction
+    # the two ends share, closed by the least integer above the lower end
+    # where they part.  None unless the interval is narrower than 1/k^2, which
+    # makes h/k the only rational of denominator at most k inside it
+    width, scale = c * b - a * d, b * d
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        t = a // b + 1
+        if t * d < c:
+            h, k = h1 * t + h0, k1 * t + k0
+            return (h, k) if k * k * width < scale else None
+        t -= 1
+        h0, h1, k0, k1 = h1, h1 * t + h0, k1, k1 * t + k0
+        a, b, c, d = d, c - t * d, b, a - t * b
 
 
 def _certified(a: int, b: int, c: int, period: Word) -> bool:
-    # does the root of a*y^2 + b*y - c in (0, 1) have the purely periodic
-    # expansion (period)?  Its reciprocal (b + sqrt(D))/(2c) is positive, as
-    # a, c > 0 make sqrt(D) > |b|; if it reads the period quotient by quotient
-    # and comes back, it is a positive fixed point of the period's map, which
-    # fixes only the purely periodic number: True is a proof, reduced start or
-    # not.  A square D is refused, which keeps every Q nonzero (Q*Q' = D - P'^2).
-    # The step is cfe_periodic's, inline: a call per quotient costs about 40% more
+    """Does the root y of a*y^2 + b*y - c in (0, 1) expand to (period)?
+
+    period is primitive and a, c > 0.  The reciprocal of y is
+    (b + sqrt(D))/(2c), positive as sqrt(D) > |b|, with the state
+    (P, Q, Q_prev) = (b, 2c, 2a): Q_prev * Q = D - P*P.  A square D is
+    refused, which keeps every Q nonzero.  A purely periodic y has a reduced
+    reciprocal (Galois), so a start that is not reduced is refused.  From a
+    reduced start, the expansion of y is what :func:`_walk` computes for it,
+    by the theorem :func:`cfe_periodic` rests on, and this is _walk's walk
+    with each quotient compared to the period as it is read: forward to the
+    first centre, then backward from the swapped start to the centre before
+    it, and y's period is the reflection of the two.  True means that
+    reflection is the period or, with no centre in n steps, that the state
+    came back after the n quotients.  Either way True is a proof, and a
+    symmetric period costs about half of its steps.
+    """
+    # the step is _walk's, inline: a call per quotient costs about 40% more
     d = b * b + 4 * a * c
     sd = math.isqrt(d)
-    p, q, q_prev = b, 2 * c, 2 * a
-    if sd * sd == d:
+    p, q, q_prev, q0 = b, 2 * c, 2 * a, 2 * c
+    if sd * sd == d or not (0 < p <= sd and sd - p < q <= sd + p):
         return False
-    for want in period:
+    n = len(period)
+    for i, want in enumerate(period):
         k = (p + sd) // q
         if k != want:
             return False
         p_next = k * q - p
         q, q_prev = q_prev + k * (p - p_next), q
+        if p_next == p or q == q_prev:
+            break
         p = p_next
-    return p == b and q == 2 * c
+    else:
+        return p == b and q == q0
+    centre, fwd_on_quotient = i + 1, p_next == p
+    # backward from the swapped start, reading period[j:] in reverse
+    j, back_on_quotient = n, False
+    p, q, q_prev = b, 2 * a, q0
+    while q != q_prev:
+        j -= 1
+        k = (p + sd) // q
+        if j < centre or k != period[j]:
+            return False
+        p_next = k * q - p
+        q, q_prev = q_prev + k * (p - p_next), q
+        if p_next == p:
+            back_on_quotient = True
+            break
+        p = p_next
+    # _walk's cycle from these walks is period[:centre], those quotients
+    # reflected about the centre, the backward walk's quotients, and their
+    # reflection, period[j:]; it is the period when it is as long and the two
+    # reflected stretches match
+    mid = 2 * centre - fwd_on_quotient
+    return (
+        n - j - back_on_quotient == j - mid
+        and period[centre:mid][::-1] == period[: centre - fwd_on_quotient]
+        and period[mid:j][::-1] == period[j + back_on_quotient :]
+    )
 
 
 def _guess(period: Word) -> tuple[int, int, int] | None:
-    # the primitive (A, B, C) of the period read off its fold mod _FOLD_MOD by
-    # rational reconstruction of B/A and C/A, or None unless certified
-    m = _FOLD_MOD
-    p, q, r, s = _fold(period, 0, len(period), m)
-    if not r:
-        return None
-    inv = pow(r, -1, m)
-    bound = math.isqrt(m // 2)
-    ba = _rational((s - p) * inv % m, m, bound)
-    ca = _rational(q * inv % m, m, bound)
-    if ba is None or ca is None:
-        return None
-    # lowest terms on both sides make (a, b, c) primitive with a > 0
-    a = math.lcm(ba[1], ca[1])
-    b, c = ba[0] * (a // ba[1]), ca[0] * (a // ca[1])
-    if c <= 0 or not _certified(a, b, c, period):
-        return None
-    return a, b, c
+    # the primitive (A, B, C) of the period read off its first m quotients,
+    # m = 8, 16, ... while m <= n/32, or None unless certified; past n/32 a
+    # failed guess would cost a growing share of the exact fold.  By Galois's
+    # theorem the other root of A*y^2 + B*y - C is -z with
+    # z = [a_n; (a_{n-1}, ..., a_1, a_n)], so B/A = z - x and C/A = x*z.  The
+    # fold (p, q, r, s) of x's first m quotients maps (0, 1) onto an interval
+    # around x with ends q/s < (p + q)/(r + s), in this order as m is even;
+    # z - a_n is bracketed alike by the fold of the m quotients before a_n in
+    # reverse, the transpose of the fold of period[n-1-m : n-1] since every
+    # step matrix is symmetric.  Once the brackets of z - x and x*z are
+    # narrower than 1/A^2, the simplest rational in each is the only one with
+    # denominator at most A, so it is B/A or C/A; a try whose brackets pin no
+    # rational is skipped, which keeps a failed guess at a share of the fold
+    n = len(period)
+    an = period[-1]
+    fp, fq, fr, fs = gp, gq, gr, gs = 1, 0, 0, 1
+    read, m = 0, 8
+    while m <= n >> 5:
+        p, q, r, s = _fold(period, read, m)
+        fp, fq, fr, fs = fp * p + fq * r, fp * q + fq * s, fr * p + fs * r, fr * q + fs * s
+        p, q, r, s = _fold(period, n - 1 - m, n - 1 - read)
+        gp, gq, gr, gs = p * gp + q * gr, p * gq + q * gs, r * gp + s * gr, r * gq + s * gs
+        xn1, xd1, xn2, xd2 = fq, fs, fp + fq, fr + fs
+        zn1, zd1, zn2, zd2 = an * gs + gr, gs, an * (gq + gs) + gp + gr, gq + gs
+        ba = _pinned(zn1 * xd2 - xn2 * zd1, zd1 * xd2, zn2 * xd1 - xn1 * zd2, zd2 * xd1)
+        ca = ba and _pinned(xn1 * zn1, xd1 * zd1, xn2 * zn2, xd2 * zd2)
+        if ca:
+            # lowest terms on both sides make (a, b, c) primitive with a > 0
+            a = math.lcm(ba[1], ca[1])
+            b, c = ba[0] * (a // ba[1]), ca[0] * (a // ca[1])
+            if _certified(a, b, c, period):
+                return a, b, c
+        read, m = m, 2 * m
+    return None
 
 
 def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
@@ -355,15 +411,20 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
     polynomial, whose coefficients stay at the scale of the field while the
     matrix entries grow like the fundamental unit.
 
-    So a period longer than ``_GUESS_FROM`` is first folded mod the prime
-    2**127 - 1, and rational reconstruction reads a candidate polynomial off
-    the residues.  It is kept only if its root re-expands to the period: the
-    reciprocal state is reduced, every quotient matches, and the state comes
-    back after the last one.  A purely periodic number is fixed by its
-    period, so this is a proof and the prime only guides the search.  Any
-    failure falls back to the exact product; the initial block is always
-    folded exactly.  Either way e is proved to be the expansion of the root,
-    which keeps it, so :func:`cfe_periodic` returns e without a walk.
+    So a period longer than ``_GUESS_FROM`` is first read from its ends.  By
+    Galois's theorem on purely periodic expansions the other root is minus
+    the value of the reversed period, so the folds of the first m quotients
+    and of the m before the last one bracket both roots, and the simplest
+    rationals in the brackets of their difference and product give a
+    candidate polynomial; m doubles from 8 while it is at most n/32.  A
+    candidate is kept only if its root re-expands to the period
+    (:func:`_certified`): its reciprocal state is reduced, every quotient it
+    walks matches, and the reflection of a symmetric cycle, or the return of
+    one without a centre, gives back the whole period.  So the answer is
+    proved, and the prefix only guides the search.  If no candidate is kept,
+    the exact product answers; the initial block is always folded exactly.
+    Either way e is proved to be the expansion of the root, which keeps it,
+    so :func:`cfe_periodic` returns e without a walk.
     """
     abc = _guess(e.period) if len(e.period) > _GUESS_FROM else None
     if abc is None:

@@ -301,8 +301,8 @@ class QuadraticSurd:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        a, b, c, d = self._view()
-        return f"QuadraticSurd(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
+        a, b, c, d = map(_digits, self._view())
+        return f"QuadraticSurd(a={a}, b={b}, c={c}, d={d})"
 
     def __str__(self) -> str:
         return format_surd(self)
@@ -324,7 +324,11 @@ class UnimodularMatrix:
 
     def __post_init__(self) -> None:
         if self.det not in (1, -1):
-            raise ValueError(f"determinant must be +1 or -1, got {self.det}")
+            raise ValueError(f"determinant must be +1 or -1, got {_digits(self.det)}")
+
+    def __repr__(self) -> str:
+        m11, m12, m21, m22 = map(_digits, (self.m11, self.m12, self.m21, self.m22))
+        return f"UnimodularMatrix(m11={m11}, m12={m12}, m21={m21}, m22={m22})"
 
     @property
     def det(self) -> int:

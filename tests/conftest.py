@@ -85,3 +85,15 @@ def digit_limit(monkeypatch):
         yield calls
     finally:
         _set_limit(saved)
+
+
+@pytest.fixture(params=[640, 4_300])
+def limit(request):
+    """The digit limit at 640, the lowest CPython accepts, and at 4,300, its
+    default; restored afterwards."""
+    if _set_limit is None:
+        pytest.skip("no int<->str digit limit")
+    saved = sys.get_int_max_str_digits()
+    _set_limit(request.param)
+    yield request.param
+    _set_limit(saved)

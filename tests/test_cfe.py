@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -32,7 +33,7 @@ from cuntzfrac import (
     surd_from_cfe,
 )
 from cuntzfrac import cfe
-from cuntzfrac.cfe import _FOLD_LEAF, _FOLD_MOD, _GUESS_FROM, _fold
+from cuntzfrac.cfe import _FOLD_LEAF, _GUESS_FROM, _REFLECT_FROM, _fold
 from cuntzfrac.surds import DomainError, _floor_pq
 from cuntzfrac.words import canonical_rotation, is_primitive
 
@@ -170,14 +171,16 @@ class TestSurdFromCFE:
     def test_golden(self):
         assert surd_from_cfe(PeriodicCFE((), (1,))) == normalize(-1, 1, 2, 5)
 
-    @pytest.mark.parametrize("guess_from", [_GUESS_FROM, 0])
+    @pytest.mark.parametrize("guess_from", [math.inf, _GUESS_FROM], ids=["exact-fold", "certified-guess"])
     def test_root_is_stored_as_normalize_stores_it(self, monkeypatch, guess_from):
         # the root of a purely periodic block is built without normalize; its
-        # stored fields are those normalize(-bb, 1, 2*rr, disc) gives
+        # stored fields are those normalize(-bb, 1, 2*rr, disc) gives.  The
+        # periods of sqrt(d) past the gate are guessed unless the gate is inf
         monkeypatch.setattr(cfe, "_GUESS_FROM", guess_from)
         rng = random.Random(71)
-        for _ in range(200):
-            raw = [rng.randint(1, 12) for _ in range(rng.randint(1, 12))]
+        raws = [[rng.randint(1, 12) for _ in range(rng.randint(1, 12))] for _ in range(200)]
+        raws += [_sqrt_period(d) for d in (20_359, 22_441, 1_000_024)]
+        for raw in raws:
             period = minimal_period_normalize((), raw).period
             p, q, r, s = _fold(period, 0, len(period))
             g = math.gcd(r, s - p, q)
@@ -242,11 +245,14 @@ class TestStoredExpansion:
         monkeypatch.setattr(cfe, "_reciprocal_state", spy)
         return walked
 
-    @pytest.mark.parametrize("guess_from", [_GUESS_FROM, 0], ids=["exact-fold", "certified-guess"])
+    @pytest.mark.parametrize("guess_from", [math.inf, _GUESS_FROM], ids=["exact-fold", "certified-guess"])
     def test_solved_surd_is_never_walked(self, monkeypatch, guess_from):
+        # the 257 quotients of sqrt(22441) are guessed unless the gate is inf
         monkeypatch.setattr(cfe, "_GUESS_FROM", guess_from)
+        long = _sqrt_period(22_441)
         walked = self._walks(monkeypatch)
-        for e in (PeriodicCFE((), (1, 2, 3)), PeriodicCFE((9, 2), (1,)), PeriodicCFE((5,), (1, 1024, 2))):
+        for e in (PeriodicCFE((), (1, 2, 3)), PeriodicCFE((9, 2), (1,)), PeriodicCFE((5,), (1, 1024, 2)),
+                  PeriodicCFE((), long), PeriodicCFE((3,), long)):
             x = surd_from_cfe(e)
             assert cfe_periodic(x) is e
             assert cuntzfrac.omega_class_label(x) == canonical_rotation(e.period)
@@ -531,21 +537,51 @@ class TestCoreOracles:
 
 
 def _fold_spy(monkeypatch):
-    # records (lo, hi, m) of every _fold call, the recursive ones included
+    # records (lo, hi) of every _fold call, the recursive ones included
     calls = []
     fold = cfe._fold
 
-    def spy(w, lo, hi, m=0):
-        calls.append((lo, hi, m))
-        return fold(w, lo, hi, m)
+    def spy(w, lo, hi):
+        calls.append((lo, hi))
+        return fold(w, lo, hi)
 
     monkeypatch.setattr(cfe, "_fold", spy)
     return calls
 
 
+def _exact_abc(period):
+    # the primitive (A, B, C) of the period from the exact product tree
+    p, q, r, s = _fold(period, 0, len(period))
+    g = math.gcd(r, s - p, q)
+    return r // g, (s - p) // g, q // g
+
+
+def _sqrt_period(d):
+    return cfe_periodic(_sqrt_part(d)).period
+
+
+def _full_walk_certified(a, b, c, period):
+    """The certificate before it reflected: every quotient of the period is
+    compared, then the state must come back."""
+    d = b * b + 4 * a * c
+    sd = math.isqrt(d)
+    p, q, q_prev = b, 2 * c, 2 * a
+    if sd * sd == d:
+        return False
+    for want in period:
+        k = (p + sd) // q
+        if k != want:
+            return False
+        p_next = k * q - p
+        q, q_prev = q_prev + k * (p - p_next), q
+        p = p_next
+    return p == b and q == 2 * c
+
+
 class TestGuessedFold:
     def test_long_period_is_guessed(self, monkeypatch):
-        # sqrt(5720702249) has a period of 30,330 quotients
+        # sqrt(5720702249) has a period of 30,330 quotients; the guess reads
+        # at most n/32 of them from each end, so no fold covers the period
         d = 5_720_702_249
         x = normalize(-math.isqrt(d), 1, 1, d)
         e = cfe_periodic(x)
@@ -553,38 +589,45 @@ class TestGuessedFold:
         assert n > _GUESS_FROM
         calls = _fold_spy(monkeypatch)
         assert surd_from_cfe(e) == x
-        assert (0, n, _FOLD_MOD) in calls
-        assert all(m for lo, hi, m in calls if (lo, hi) == (0, n))
-        assert not [c for c in calls if c[2] == 0 and c[1] - c[0] > _FOLD_LEAF]
+        assert (0, 8) in calls and (n - 9, n - 1) in calls
+        assert max(hi - lo for lo, hi in calls) <= n // 32
 
     def test_wrong_guesses_are_rejected(self, monkeypatch):
-        # a small prime makes most guesses wrong; every answer must still be
-        # the exact one, so the certificate has to refuse them
+        # about half of the pinned rationals are moved up by one, which
+        # makes their candidates wrong, and random entries make answers too
+        # large for any short prefix; every answer must still be the exact
+        # one, so the certificate has to refuse each wrong candidate
         rng = random.Random(83)
-        blocks = [cfe_periodic(random_surd(rng, max_d=10**4)) for _ in range(150)]
-        for _ in range(60):
-            k = rng.randint(10**20, 10**21)
-            d = rng.choice((k * k + 1, k * k + 2, k * k - 1, k * k + k, 4 * k * k + 4))
-            assert len(str(d)) >= 40
-            blocks.append(cfe_periodic(normalize(-math.isqrt(d), 1, 1, d)))
-        for _ in range(60):
-            period = tuple(rng.randint(1, 10**rng.randint(1, 22)) for _ in range(rng.randint(1, 4)))
-            if is_primitive(period):
-                blocks.append(PeriodicCFE((rng.randint(1, 9),) if period[-1] > 9 else (), period))
-        assert any(len(e.period) <= 2 and e.initial == () for e in blocks[150:210])
+        blocks = []
+        while len(blocks) < 40:
+            period = _sqrt_period(rng.randint(10**5, 10**7))
+            if len(period) > _GUESS_FROM:
+                blocks.append(PeriodicCFE((), period))
+        while len(blocks) < 70:
+            e = cfe_periodic(random_surd(rng, max_d=10**7))
+            if len(e.period) > _GUESS_FROM:
+                blocks.append(e)
+        for top in (9, 10**22):
+            for _ in range(10):
+                period = tuple(rng.randint(1, top) for _ in range(rng.randint(_GUESS_FROM + 1, 600)))
+                if is_primitive(period):
+                    blocks.append(PeriodicCFE((rng.randint(1, 9),) if period[-1] > 9 else (), period))
         want = [_sequential_surd_from_cfe(e) for e in blocks]
         verdicts = []
-        certified = cfe._certified
+        certified, pinned = cfe._certified, cfe._pinned
 
         def spy(*args):
             verdicts.append(certified(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(cfe, "_FOLD_MOD", 10007)
-        monkeypatch.setattr(cfe, "_GUESS_FROM", 0)
+        def moved(*args):
+            found = pinned(*args)
+            return (found[0] + 1, found[1]) if found and rng.random() < 0.5 else found
+
         monkeypatch.setattr(cfe, "_certified", spy)
+        monkeypatch.setattr(cfe, "_pinned", moved)
         assert [surd_from_cfe(e) for e in blocks] == want
-        assert verdicts.count(False) > 20 and verdicts.count(True) > 0
+        assert verdicts.count(False) > 60 and verdicts.count(True) > 20
 
     def test_certificate(self):
         # (A, B, C) stands for the root of A*y^2 + B*y - C in (0, 1)
@@ -598,15 +641,167 @@ class TestGuessedFold:
         assert not cfe._certified(1, -1, 1, (1,))  # reciprocal below 1: not reduced
 
     def test_large_answer_falls_back(self, monkeypatch):
-        # random entries make coefficients as large as the fold: no
-        # reconstruction fits, and the exact tree answers
+        # random entries make coefficients as large as the fold: no prefix of
+        # n/32 quotients pins them, the guess stops there, and the exact tree
+        # answers; at 4,096 the guess reads 8, 16, ..., 128 quotients
         rng = random.Random(89)
-        e = PeriodicCFE((), tuple(rng.randint(1, 9) for _ in range(_GUESS_FROM + 1)))
-        want = _sequential_surd_from_cfe(e)
-        n = len(e.period)
-        calls = _fold_spy(monkeypatch)
-        assert surd_from_cfe(e) == want
-        assert (0, n, _FOLD_MOD) in calls and (0, n, 0) in calls
+        for n in (_GUESS_FROM + 1, 4096):
+            e = PeriodicCFE((), tuple(rng.randint(1, 9) for _ in range(n)))
+            want = _sequential_surd_from_cfe(e)
+            calls = _fold_spy(monkeypatch)
+            assert surd_from_cfe(e) == want
+            guessed = calls[: calls.index((0, n))]
+            assert (0, 8) in guessed and (n - 9, n - 1) in guessed
+            # the first n/32 quotients, and the n/32 before the last one
+            assert max(hi for lo, hi in guessed if hi <= n // 2) == n // 32
+            assert min(lo for lo, hi in guessed if lo > n // 2) == n - 1 - n // 32
+
+    def test_pinned_rational_matches_a_search(self):
+        # the least denominator k with a multiple of 1/k strictly inside
+        # (lo, hi), found by trying k = 1, 2, ...; pinned when k*k*(hi - lo) < 1
+        rng = random.Random(97)
+        pinned = refused = 0
+        for _ in range(3000):
+            lo = Fraction(rng.randint(0, 400), rng.randint(1, 60))
+            hi = lo + Fraction(1, rng.randint(1, 3000)) * rng.choice((1, 2, 7, 50))
+            k = 1
+            while math.floor(lo * k) + 1 >= hi * k:
+                k += 1
+            h = math.floor(lo * k) + 1
+            want = (h, k) if k * k * (hi - lo) < 1 else None
+            assert cfe._pinned(lo.numerator, lo.denominator, hi.numerator, hi.denominator) == want
+            pinned += want is not None
+            refused += want is None
+        assert pinned > 300 and refused > 300
+
+    @pytest.mark.parametrize("n", [_GUESS_FROM - 1, _GUESS_FROM, _GUESS_FROM + 1])
+    def test_exact_tree_is_the_oracle_at_the_gate(self, monkeypatch, n):
+        # sqrt(20161), sqrt(20359) and sqrt(22441) have periods of 255, 256
+        # and 257 quotients; random entries 1-9 of the same lengths
+        d = {255: 20_161, 256: 20_359, 257: 22_441}[n]
+        rng = random.Random(n)
+        periods = [_sqrt_period(d)] + [tuple(rng.randint(1, 9) for _ in range(n)) for _ in range(20)]
+        verdicts = []
+        certified = cfe._certified
+        monkeypatch.setattr(cfe, "_certified", lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
+        for period in periods:
+            assert len(period) == n
+            if not is_primitive(period):
+                continue
+            a, b, c = _exact_abc(period)
+            y = surd_from_cfe(PeriodicCFE((), period))
+            assert (y._a, y._b, y._c, y._d) == (-b, 1, 2 * a, b * b + 4 * a * c)
+        # only the sqrt(d) period past the gate is guessed, and it certifies
+        assert verdicts[:1] == ([True] if n > _GUESS_FROM else [])
+
+
+class TestHalfCertificate:
+    # on a symmetric period the certificate walks forward to the first centre
+    # and backward to the one before the start, about n/2 steps, and compares
+    # the rest of the period with the reflection of what it walked
+
+    @staticmethod
+    def _refused_after(monkeypatch, abc, period):
+        # the reduced steps the certificate took to refuse abc for period
+        _count_steps(monkeypatch)
+        assert not cfe._certified(*abc, period)
+        return _CountedRoot.steps
+
+    def test_forward_match_then_differs(self, monkeypatch):
+        # w + reverse(w) starts on a centre: the forward walk reads w and stops
+        # at the other centre, so an entry changed after it is never read
+        rng = random.Random(233)
+        w = tuple(rng.randint(1, 9) for _ in range(200))
+        period = w + w[::-1]
+        abc = _exact_abc(period)
+        assert cfe._certified(*abc, period)
+        for i in (200, 201, 300, 399):
+            changed = period[:i] + (period[i] + 1,) + period[i + 1 :]
+            assert is_primitive(changed)
+            assert self._refused_after(monkeypatch, abc, changed) == 200
+
+    def test_backward_match_middle_differs(self, monkeypatch):
+        # w + reverse(w) rotated by a quarter: the forward walk reads 100
+        # entries to one centre, the backward walk the last 100 to the other,
+        # and the 100 entries after the reflected forward stretch mirror
+        # those the backward walk read
+        rng = random.Random(239)
+        w = tuple(rng.randint(1, 9) for _ in range(200))
+        period = (w + w[::-1])[100:] + (w + w[::-1])[:100]
+        abc = _exact_abc(period)
+        assert cfe._certified(*abc, period)
+        for i in (200, 250, 299):
+            changed = period[:i] + (period[i] % 9 + 1,) + period[i + 1 :]
+            assert is_primitive(changed)
+            assert self._refused_after(monkeypatch, abc, changed) == 200
+
+    def test_shared_prefix_of_ten_thousand(self):
+        # sqrt(5720702249) and a period that agrees with it on its first 10**4
+        # quotients and then ends: neither answer certifies the other
+        period = _sqrt_period(5_720_702_249)
+        other = period[:10_000] + (period[10_000] + 1,)
+        assert is_primitive(other)
+        abc, other_abc = _exact_abc(period), _exact_abc(other)
+        assert cfe._certified(*abc, period) and cfe._certified(*other_abc, other)
+        assert not cfe._certified(*abc, other)
+        assert not cfe._certified(*other_abc, period)
+
+    def test_half_the_steps(self, monkeypatch):
+        period = _sqrt_period(5_720_702_249)
+        _count_steps(monkeypatch)
+        assert cfe._certified(*_exact_abc(period), period)
+        assert _CountedRoot.steps <= len(period) // 2 + 1
+
+    def test_cycle_without_a_centre_is_walked_in_full(self, monkeypatch):
+        # the 33,483-quotient cycle of (-310096+sqrt(96160150066))/3 is not a
+        # rotation of its reverse, so it has no centre: the guessed candidate
+        # is certified by walking every quotient until the state comes back
+        x = normalize(-310_096, 1, 3, 96_160_150_066)
+        e = cfe_periodic(x)
+        assert e.initial == () and len(e.period) == 33_483
+        assert canonical_rotation(e.period[::-1]) != canonical_rotation(e.period)
+        abc = cfe._guess(e.period)
+        assert abc == _exact_abc(e.period)
+        _count_steps(monkeypatch)
+        assert cfe._certified(*abc, e.period)
+        assert _CountedRoot.steps == len(e.period)
+        monkeypatch.undo()
+        assert surd_from_cfe(e) == x
+
+    def test_small_candidates_match_the_full_walk(self):
+        # every (a, b, c) in a box, on every primitive period of up to four
+        # entries from 1 to 4: one-quotient cycles, cycles shorter than
+        # _REFLECT_FROM, starts that are not reduced, square discriminants
+        periods = [p for k in range(1, 5) for p in itertools.product(range(1, 5), repeat=k) if is_primitive(p)]
+        accepted = unreduced = square = 0
+        for a, b, c in itertools.product(range(1, 7), range(-6, 13), range(1, 13)):
+            d = b * b + 4 * a * c
+            sd = math.isqrt(d)
+            square += sd * sd == d
+            unreduced += not (0 < b <= sd and sd - b < 2 * c <= sd + b)
+            for period in periods:
+                verdict = cfe._certified(a, b, c, period)
+                assert verdict == _full_walk_certified(a, b, c, period)
+                accepted += verdict
+        assert accepted > 50 and unreduced > 500 and square > 50
+        assert any(len(p) < _REFLECT_FROM and cfe._certified(*_exact_abc(p), p) for p in periods)
+
+    def test_candidates_near_the_answer_match_the_full_walk(self):
+        # the answer and its neighbours on the periods of random surds, on
+        # their rotations and on their reverses; cycles with and without a
+        # centre, short and long
+        rng = random.Random(241)
+        kinds = set()
+        for i in range(400):
+            period = cfe_periodic(random_surd(rng, max_d=(50, 10**3, 10**5)[i % 3])).period
+            kinds.add((bool(_centres(period)), len(period) < _REFLECT_FROM))
+            a, b, c = _exact_abc(period)
+            for other in (period, period[1:] + period[:1], period[::-1]):
+                for da, db, dc in itertools.product((-1, 0, 1), repeat=3):
+                    if a + da > 0 and c + dc > 0:
+                        abc = (a + da, b + db, c + dc)
+                        assert cfe._certified(*abc, other) == _full_walk_certified(*abc, other)
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestSympyOracle:

@@ -944,3 +944,17 @@ class TestHugeCoefficients:
         assert errors == []
         assert digit_limit == []
         assert sys.get_int_max_str_digits() == 4_300
+
+    def test_reprs_and_error_texts_at_the_limit(self, limit):
+        # the texts of the value types and of their constructors' errors, for
+        # entries just below, at and past the limit: below it they are the
+        # dataclass and f-string texts byte for byte, past it they no longer
+        # raise the limit's ValueError
+        for n in (10 ** (limit - 1) - 1, 10 ** (limit - 1), 10**limit, 10**5000 + 7):
+            t, t1 = unlimited(str, n), unlimited(str, n - 1)
+            assert repr(normalize(n, 1, 1, 2)) == f"QuadraticSurd(a={t}, b=1, c=1, d=2)"
+            assert repr(PeriodicCFE((), (n, 1))) == f"PeriodicCFE(initial=(), period=({t}, 1))"
+            assert repr(UnimodularMatrix(n, n - 1, 1, 1)) == f"UnimodularMatrix(m11={t}, m12={t1}, m21=1, m22=1)"
+            assert raised(PeriodicCFE, (), (n, n)) == (ValueError, f"period ({t}, {t}) is not primitive")
+            assert raised(UnimodularMatrix, n, 1, 1, 1) == (ValueError, f"determinant must be +1 or -1, got {t1}")
+        assert sys.get_int_max_str_digits() == limit

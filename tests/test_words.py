@@ -172,17 +172,6 @@ def test_tables_stay_fixed():
 # numbers past the int<->str digit limit: the oracle is str, int and repr
 # with the limit lifted
 
-@pytest.fixture(params=[640, 4_300])
-def limit(request):
-    # 640 is the lowest limit CPython accepts, 4,300 its default
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("no int<->str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(request.param)
-    yield request.param
-    sys.set_int_max_str_digits(saved)
-
-
 def _edges(limit):
     # limit - 1, limit and limit + 1 digits, powers of ten and the numbers
     # below them, low halves that need zero padding, and their negatives
