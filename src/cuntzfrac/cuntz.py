@@ -93,6 +93,9 @@ class Cycle:
         object.__setattr__(c, "word", word)
         return c
 
+    def __repr__(self) -> str:
+        return f"Cycle(word={words._shown(self.word)})"
+
     def __str__(self) -> str:
         return "P(" + words._joined(self.word) + ")"
 
@@ -112,6 +115,9 @@ class Chain:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prefix", tuple(self.prefix))
         _check_quotients(self.prefix, "prefix entries")
+
+    def __repr__(self) -> str:
+        return f"Chain(prefix={words._shown(self.prefix)}, continuation={self.continuation!r})"
 
     def __str__(self) -> str:
         return "P(" + words._joined(self.prefix) + ",...)"
@@ -175,6 +181,9 @@ class WordOperator:
         if self.zero:
             return self
         return WordOperator._trusted(self.right, self.left)
+
+    def __repr__(self) -> str:
+        return f"WordOperator(left={words._shown(self.left)}, right={words._shown(self.right)}, zero={self.zero})"
 
     def __str__(self) -> str:
         if self.zero:

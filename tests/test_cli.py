@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -19,9 +20,11 @@ from cuntzfrac import (
     families,
     format_block,
     in_omega,
+    minimal_period_normalize,
     normalize,
     surd_from_cfe,
 )
+from cuntzfrac import cli
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
 
@@ -434,6 +437,75 @@ class TestCorpus:
         assert code == 0
         assert "0 passed, 0 failed, 0 errors of 0 entries" in out
         assert (tmp_path / "empty.txt.results.json").read_text() == "[]"
+
+    # _corpus_expected(mode, text, "") is the parse branch: no text is ""
+    # once stripped, and no class text is one character shorter than ""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_output_text_is_its_own_expected_value(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            top = rng.choice((3, 9, 40))
+            initial = [rng.randint(1, top) for _ in range(rng.randint(0, 3))]
+            period = [rng.randint(1, top) for _ in range(rng.randint(1, 6))]
+            block = minimal_period_normalize(initial, period)
+            for mode, payload in (("expand", str(surd_from_cfe(block))), ("solve", format_block(block)),
+                                  ("classify", str(surd_from_cfe(block)))):
+                out = cli._corpus_apply(mode, payload)
+                assert cli._corpus_expected(mode, out, out) == cli._corpus_expected(mode, out, "") == out
+
+    @pytest.mark.parametrize("word", [(1,), (1, 2), (1, 11), (1, 1, 11), (1, 12, 2, 1, 21), (3, 10**30, 3, 7)])
+    def test_class_word_rotations_read_as_the_class(self, word):
+        out = str(Cycle(word))
+        for k in range(len(word)):
+            v = ",".join(map(str, word[k:] + word[:k]))
+            for text in (f"P({v})", f"({v})"):
+                assert cli._corpus_expected("classify", text, out) == cli._corpus_expected("classify", text, "") == out
+
+    @pytest.mark.parametrize("mode, lines, parser, records", [
+        ("classify", [
+            "(-21+5*sqrt(21))/2 => P(1,12)",  # same length, not a rotation
+            "(-1+1*sqrt(3))/1 => ( 1, 2 )",
+            "(-1+1*sqrt(3))/1 => P(1,2,1,2)",
+            "(-1+1*sqrt(3))/1 => 7,(2,1)",
+            "(-1+1*sqrt(3))/1 => P(01,2)",
+        ], "parse_block", [
+            ("P(1,21)", "P(1,12)", "fail"),
+            ("P(1,2)", "P(1,2)", "pass"),
+            ("P(1,2)", "P(1,2)", "pass"),
+            ("P(1,2)", "P(1,2)", "pass"),
+            ("P(1,2)", "P(1,2)", "pass"),
+        ]),
+        ("solve", [
+            "(1,2) => (-2+2*sqrt(3))/2",
+            "(1,2) => ( -1 + 1*sqrt(3) ) / 1",
+            "(2,1) => (-1+1*sqrt(3))/1",
+        ], "parse_surd", [
+            ("(-1+1*sqrt(3))/1", "(-1+1*sqrt(3))/1", "pass"),
+            ("(-1+1*sqrt(3))/1", "(-1+1*sqrt(3))/1", "pass"),
+            ("(-1+1*sqrt(3))/2", "(-1+1*sqrt(3))/1", "fail"),
+        ]),
+        ("expand", [
+            "(-1+1*sqrt(3))/1 => 1,(2,1)",
+            "(-1+1*sqrt(3))/1 => ( 1, 2 )",
+            "(-1+1*sqrt(3))/1 => (2,1)",
+        ], "parse_block", [
+            ("(1,2)", "(1,2)", "pass"),
+            ("(1,2)", "(1,2)", "pass"),
+            ("(1,2)", "(2,1)", "fail"),
+        ]),
+    ])
+    def test_other_expected_forms_are_parsed(self, capsys, tmp_path, monkeypatch, mode, lines, parser, records):
+        # the parser named is the one only the expected side calls in this mode
+        calls = []
+        real = getattr(cli, parser)
+        monkeypatch.setattr(cli, parser, lambda text: calls.append(text) or real(text))
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(lines) + "\n")
+        run(capsys, "corpus", str(corpus), mode)
+        assert len(calls) == len(lines)
+        results = json.loads((tmp_path / "c.txt.results.json").read_text())
+        assert [(r["output"], r["expected"], r["status"]) for r in results] == records
 
 
 class TestJsonSchemas:

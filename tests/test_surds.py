@@ -955,6 +955,9 @@ class TestHugeCoefficients:
             assert repr(normalize(n, 1, 1, 2)) == f"QuadraticSurd(a={t}, b=1, c=1, d=2)"
             assert repr(PeriodicCFE((), (n, 1))) == f"PeriodicCFE(initial=(), period=({t}, 1))"
             assert repr(UnimodularMatrix(n, n - 1, 1, 1)) == f"UnimodularMatrix(m11={t}, m12={t1}, m21=1, m22=1)"
+            assert repr(Cycle((n, 1))) == f"Cycle(word=(1, {t}))"
+            assert repr(WordOperator((n,), (2,))) == f"WordOperator(left=({t},), right=(2,), zero=False)"
+            assert repr(Chain((n,))) == f"Chain(prefix=({t},), continuation='?')"
             assert raised(PeriodicCFE, (), (n, n)) == (ValueError, f"period ({t}, {t}) is not primitive")
             assert raised(UnimodularMatrix, n, 1, 1, 1) == (ValueError, f"determinant must be +1 or -1, got {t1}")
         assert sys.get_int_max_str_digits() == limit
