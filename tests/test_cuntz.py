@@ -9,11 +9,11 @@ from conftest import fresh, random_surd
 from cuntzfrac import (
     BadMultiplicity,
     Chain,
+    CheckEntry,
     Cycle,
     EmptyWord,
     IDENTITY,
     LabelSpace,
-    LabelSpaceOverflow,
     NotPrimitive,
     PeriodicCFE,
     WordOperator,
@@ -102,6 +102,7 @@ class TestRepClasses:
 
     def test_chain_text(self):
         assert str(Chain((1, 2, 3))) == "P(1,2,3,...)"
+        assert str(Chain(())) == "P(...)"
 
     def test_chain_rejects_bad_entries(self):
         with pytest.raises(ValueError):
@@ -424,13 +425,31 @@ class TestLabelSpace:
             PeriodicCFE((), (1, 2)),
             PeriodicCFE((), (2, 1)),
         }
-        assert space.labels == frozenset(expected)
+        assert space == frozenset(expected)
 
-    def test_cap_overflow(self):
-        space = LabelSpace.full(2, 2, cap=2)
-        big = PeriodicCFE((2, 2, 1), (3, 2))
-        with pytest.raises(LabelSpaceOverflow):
-            space.admit(big)
+    def test_size_oracle(self):
+        # a period of length n leaves d - n stored symbols, and the initial
+        # blocks of length m <= d - n not ending in the period's last symbol
+        # number 1 + (k - 1)(1 + k + ... + k^(d-n-1)) = k^(d-n); the primitive
+        # words of length n number sum over e | n of mu(e) k^(n/e)
+        def mobius(e):
+            mu, q = 1, 2
+            while q * q <= e:
+                if e % q == 0:
+                    e //= q
+                    if e % q == 0:
+                        return 0
+                    mu = -mu
+                q += 1
+            return -mu if e > 1 else mu
+
+        def primitive_words(n, k):
+            return sum(mobius(e) * k ** (n // e) for e in range(1, n + 1) if n % e == 0)
+
+        for d in range(1, 6):
+            for k in range(1, 5):
+                want = sum(primitive_words(n, k) * k ** (d - n) for n in range(1, d + 1))
+                assert len(LabelSpace.full(d, k)) == want
 
     def test_labels_distinct_canonical(self):
         space = LabelSpace.full(3, 3)
@@ -461,6 +480,30 @@ class TestRelationChecks:
         monkeypatch.setattr("cuntzfrac.cuntz.label_cons", spy)
         assert verify_cuntz_relations(4, 3) == []
         assert len(calls) == len(set(calls)) == 3 * len(LabelSpace.full(4, 3))
+
+    def test_isometry_delta_from_the_normal_form(self, monkeypatch):
+        # s_i* s_j is compared with I or 0 once per (i, j), and no label is
+        # acted on: the label checks above already cover the action
+        real = cuntz.word_op_mul
+
+        def projector(u, v):
+            # s_i s_i* in place of s_i* s_i
+            return WordOperator(v.left, u.right) if u.right == v.left else real(u, v)
+
+        def leak(u, v):
+            # s_3 s_2* in place of s_2* s_3 = 0
+            return WordOperator((3,), (2,)) if (u.right, v.left) == ((2,), (3,)) else real(u, v)
+
+        actions = []
+        monkeypatch.setattr(cuntz, "apply_word_op", lambda u, w: actions.append(u))
+        monkeypatch.setattr(cuntz, "word_op_mul", projector)
+        assert verify_cuntz_relations(3, 3) == [
+            CheckEntry("isometry-delta", f"i={i},j={i}", "fail") for i in (1, 2, 3)]
+        monkeypatch.setattr(cuntz, "word_op_mul", leak)
+        assert verify_cuntz_relations(3, 3) == [CheckEntry("isometry-delta", "i=2,j=3", "fail")]
+        monkeypatch.setattr(cuntz, "word_op_mul", real)
+        assert verify_cuntz_relations(4, 3) == []
+        assert actions == []
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -516,6 +559,33 @@ class TestGPVector:
     def test_rejects_powers(self):
         with pytest.raises(NotPrimitive):
             gp_vector_check((1, 1))
+
+    @pytest.mark.parametrize("depth", [-1, 0, 1, 8, 20])
+    def test_one_action_for_the_fixed_point(self, monkeypatch, depth):
+        # s_J^depth is one operator applied once, then one action per suffix
+        calls = []
+        real = cuntz.apply_word_op
+
+        def spy(u, w):
+            calls.append(u)
+            return real(u, w)
+
+        monkeypatch.setattr(cuntz, "apply_word_op", spy)
+        j = (1, 2, 3)
+        assert [e.verdict for e in gp_vector_check(j, depth)] == ["pass", "pass"]
+        assert len(calls) == 1 + len(j)
+        assert calls[0].left == j * max(1, depth) and calls[0].right == ()
+
+    def test_moved_fixed_point_fails(self, monkeypatch):
+        j = (1, 2, 3)
+        real = cuntz.apply_word_op
+
+        def rotate(u, w):
+            # s_J^8 sends v to a rotation of v instead of v
+            return PeriodicCFE((), j[1:] + j[:1]) if u.left == j * 8 else real(u, w)
+
+        monkeypatch.setattr(cuntz, "apply_word_op", rotate)
+        assert [e.verdict for e in gp_vector_check(j, 8)] == ["fail", "pass"]
 
     def test_indices_checked_once(self, monkeypatch):
         # J is checked once on the way in; s_J and its suffix operators are built trusted
@@ -578,6 +648,35 @@ class TestCycleSplit:
                         assert e.verdict == "pass"
                     assert entries[-1].instance == f"J=({','.join(map(str, j0))})^{n}"
                     assert entries[-1].residual is None
+
+    def test_matches_the_per_pair_count(self):
+        # the oracle counts the inner product of every pair (r, s) afresh
+        def per_pair(j0, n):
+            name = ",".join(map(str, j0))
+            vecs = [[r * m % n for m in range(n)] for r in range(n)]
+            entries = []
+            for r in range(n):
+                for s in range(r + 1, n):
+                    counts = [0] * n
+                    for a, b in zip(vecs[r], vecs[s]):
+                        counts[(b - a) % n] += 1
+                    resid = sum(counts[(e - s + r) % n] != counts[e] for e in range(n))
+                    entries.append(CheckEntry("cycle-orthogonality", f"J0=({name}),n={n},r={r},s={s}",
+                                              "pass" if resid == 0 else "fail", resid))
+            for r in range(n):
+                shifted = vecs[r][-1:] + vecs[r][:-1]
+                resid = sum(a != (b - r) % n for a, b in zip(shifted, vecs[r]))
+                entries.append(CheckEntry("cycle-eigenvalue", f"J0=({name}),n={n},r={r}",
+                                          "pass" if resid == 0 else "fail", resid))
+            entries.append(CheckEntry("cycle-split-verdict", f"J=({name})^{n}", "reducible", None))
+            return entries
+
+        words = [j0 for length in range(1, 5) for j0 in itertools.product((1, 2), repeat=length)
+                 if is_nonperiodic(j0)]
+        assert len(words) == 2 + 2 + 6 + 12
+        for j0 in words:
+            for n in range(2, 17):
+                assert cycle_dft_split(j0, n) == per_pair(j0, n)
 
     def test_bad_multiplicity(self):
         with pytest.raises(BadMultiplicity):
