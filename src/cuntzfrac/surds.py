@@ -51,7 +51,15 @@ class ParseError(ValueError):
 # then takes a gcd with the product of the primes from 1,000 up to the cube
 # root of m.  What is left has at most two prime factors and one integer
 # square root tells them apart.  Only cofactors of 10**18 and above go to
-# Miller-Rabin and Pollard-Brent.
+# Baillie-PSW and Pollard-Brent.
+#
+# The window products are reduced modulo m as decimal.Decimal values.  As an
+# int, an m of 2**30 or more is two CPython digits and each remainder takes
+# the general long division; below 10**18 m is one libmpdec word (base
+# 10**19), so the same remainder is a short division by one machine word,
+# about four times faster.  Every operand is an integer and every result is
+# below m**2 < 10**36, so at the context's unbounded precision no step rounds,
+# and one that did would raise, as Inexact and Rounded are trapped.
 
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * limit
@@ -69,29 +77,52 @@ _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 # cofactor below _CERTIFIED_BELOW has its cube root below _WINDOWS_END
 _WINDOWS_END = _SMALL_BOUND ** 2
 _CERTIFIED_BELOW = _WINDOWS_END ** 3
-# near 4,096 every window's product stays below about 7 kbit; wider windows
-# make the first products large enough to slow splits of 10-12 digits
-_WINDOW = 4096
+# measured on two-prime radicands of 12 to 18 digits: 16,384 makes 61
+# windows and needs the fewest microseconds over that range; narrower windows
+# pay more calls at 18 digits, wider ones a larger first product at 10-12
+_WINDOW = 16384
 
 
 @functools.cache
-def _segment_product(k: int) -> int:
-    """Product of the primes in the k-th _WINDOW-wide window of [_SMALL_BOUND, _WINDOWS_END)."""
+def _exact():
+    """The decimal context of the window reductions, built on the first use.
+
+    decimal is imported here, so start-up and splits below 1000**3 never load
+    it, and the caller's thread-local context is never read or changed.
+    """
+    import decimal
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                           traps=[decimal.InvalidOperation, decimal.Inexact, decimal.Rounded])
+
+
+@functools.cache
+def _segment_product(k: int):
+    """Product, as a Decimal, of the primes in the k-th _WINDOW-wide window of [_SMALL_BOUND, _WINDOWS_END)."""
     lo = _SMALL_BOUND + k * _WINDOW
     hi = min(lo + _WINDOW, _WINDOWS_END)
     flags = bytearray([1]) * (hi - lo)
     for p in _SMALL_PRIMES:  # lo > p, so no multiple crossed off is p itself
         start = -(-lo // p) * p
         flags[start - lo :: p] = bytes(len(range(start, hi, p)))
-    return math.prod(itertools.compress(range(lo, hi), flags))
+    primes = list(itertools.compress(range(lo, hi), flags))
+    # an int converts to a Decimal in time quadratic in its length, so runs of
+    # 16 primes convert and libmpdec multiplies them; converting the whole
+    # product instead doubled the time to build the table
+    ctx = _exact()
+    return functools.reduce(ctx.multiply, (ctx.create_decimal(math.prod(primes[i : i + 16]))
+                                           for i in range(0, len(primes), 16)))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_probable_prime(n: int) -> bool:
-    # deterministic below 3.3e24 with these 13 bases; without 41 the bound is
-    # 3.18e23, and 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Baillie-PSW (Baillie and Wagstaff 1980): Miller-Rabin to the 13 bases,
+    # then a strong Lucas test.  The bases alone are deterministic below
+    # 3.3e24 and pass 3317044064679887385961981 = 1287836182261 * 2575672364521
+    # (without 41 the bound is 3.18e23, and 318665857834031151167461 passes);
+    # no composite is known to pass both tests, and a prime passes each
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -112,7 +143,59 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # the Jacobi symbol (a/n) for odd n > 0; 0 when gcd(a, n) > 1
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    # odd n > 41 with no prime factor up to 41.  Selfridge's parameters: D is
+    # the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+    # With n + 1 = k * 2**s, k odd, a prime n has U_k = 0 or V_(k*2**j) = 0
+    # (mod n) for some j < s.  No D has (D/n) = -1 if n is a square
+    if math.isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and abs(d) != n:  # gcd(D, n) is a proper factor
+            return False
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # U_i, V_i and Q**i mod n over the bits of k: doubling takes i to 2i by
+    # U_2i = U_i*V_i, V_2i = V_i**2 - 2*Q**i; a set bit takes i to i + 1 by
+    # U_(i+1) = (U_i + V_i)/2, V_(i+1) = (D*U_i + V_i)/2, halved mod odd n
+    u, v, qi = 0, 2, 1
+    for bit in bin(k)[2:]:
+        u, v, qi = u * v % n, (v * v - 2 * qi) % n, qi * qi % n
+        if bit == "1":
+            u, v, qi = (u + v) % n, (d * u + v) % n, qi * q % n
+            u = (u + n) // 2 if u % 2 else u // 2
+            v = (v + n) // 2 if v % 2 else v // 2
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qi = (v * v - 2 * qi) % n, qi * qi % n
+        if v == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int) -> int:
@@ -207,17 +290,26 @@ def squarefree_split(n: int) -> tuple[int, int]:
     root once, and gcds of m with h, h**2, h**4, ... read off their
     exponents bit by bit.  The rest has every prime factor above the cube
     root of m, so it is 1, p, p*p or p*q, and one integer square root
-    decides which.  No prime is ever found and no primality test runs.
-    Cofactors of 10**18 and above go to Miller-Rabin and Pollard-Brent.
+    decides which.  No prime is ever found and no primality test runs.  The
+    window products are kept as Decimals and reduced modulo m by short
+    division: m fits one 64-bit decimal word, and each step is exact, since
+    all operands are integers, every result is below 10**36 and a rounding
+    would raise.  Cofactors of 10**18 and above go to Baillie-PSW and
+    Pollard-Brent.
     """
     if n < 1:
         raise ValueError("squarefree_split needs n >= 1")
     m, s, f = _peel(n, math.gcd(n, _SMALL_PRODUCT), 1, 1)
     if m < _CERTIFIED_BELOW:
-        acc, k = 1, 0
-        while (_SMALL_BOUND + k * _WINDOW) ** 3 <= m:
-            acc = acc * (_segment_product(k) % m) % m
-            k += 1
+        acc = 1
+        if _SMALL_BOUND ** 3 <= m:  # m reaches the first window
+            ctx = _exact()
+            mod, mul, dm = ctx.remainder, ctx.multiply, ctx.create_decimal(m)
+            k = 0
+            while (_SMALL_BOUND + k * _WINDOW) ** 3 <= m:
+                acc = mod(mul(acc, mod(_segment_product(k), dm)), dm)
+                k += 1
+            acc = int(acc)
         m, s, f = _peel(m, math.gcd(m, acc), s, f)
     # a certified cofactor now has at most two prime factors
     r = math.isqrt(m)

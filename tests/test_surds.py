@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 from dataclasses import FrozenInstanceError
-from decimal import Decimal, localcontext
+from decimal import ROUND_DOWN, Context, Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +184,13 @@ def primes_below_10_6():
     return _primes_below(10**6)
 
 
+def _random_prime(rng, digits: int) -> int:
+    # inputs only: no test that uses it rests on the verdicts it trusts
+    while not surds._is_probable_prime(p := rng.randrange(10 ** (digits - 1), 10**digits)):
+        pass
+    return p
+
+
 def _refuse_factoring(monkeypatch) -> None:
     def refuse(n):
         raise AssertionError(f"{n} went past the certificate")
@@ -266,7 +273,7 @@ class TestGcdCertificate:
         expected = primes_below_10_6[bisect.bisect_left(primes_below_10_6, 1000):]
         assert len(expected) == 78_330
         width = surds._WINDOW
-        assert len(range(1000, 10**6, width)) == 244
+        assert len(range(1000, 10**6, width)) == 61
         for k, lo in enumerate(range(1000, 10**6, width)):
             i, j = bisect.bisect_left(expected, lo), bisect.bisect_left(expected, lo + width)
             assert surds._segment_product.__wrapped__(k) == math.prod(expected[i:j])
@@ -299,16 +306,96 @@ class TestGcdCertificate:
         assert all(got == want for got, want in results.values())
         # each window is stored once, and what is stored is its product
         info = surds._segment_product.cache_info()
-        assert info.currsize == 244
-        for k in range(244):
+        assert info.currsize == 61
+        for k in range(61):
             assert surds._segment_product(k) == surds._segment_product.__wrapped__(k)
         assert surds._segment_product.cache_info().misses == info.misses
 
     def test_nothing_is_built_at_import(self):
-        code = "import cuntzfrac.surds as s; assert s._segment_product.cache_info().currsize == 0"
+        # decimal is loaded by the first split that reaches a window, so
+        # neither start-up nor a small classify pays for its import
+        code = "\n".join([
+            "import sys",
+            "import cuntzfrac.surds as s",
+            "assert s._segment_product.cache_info().currsize == 0",
+            "import cuntzfrac.cli as cli",
+            "assert 'decimal' not in sys.modules",
+            "assert cli.main(['classify', '(-1+1*sqrt(5))/2']) == 0",
+            "assert 'decimal' not in sys.modules",
+            "s.squarefree_split(1009**3)",
+            "assert 'decimal' in sys.modules",
+        ])
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surds.__file__)))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, env=env)
         assert done.returncode == 0, done.stderr
+
+    def test_decimal_reduction_against_int_loop(self, primes_below_10_6):
+        # the int loop of the table it replaced is the oracle: every step of
+        # the Decimal reduction must give the same residue, hence the same split
+        width = surds._WINDOW
+        starts = range(1000, 10**6, width)
+        past_trial = primes_below_10_6[bisect.bisect_left(primes_below_10_6, 1000):]
+        table = [math.prod(past_trial[bisect.bisect_left(past_trial, lo):bisect.bisect_left(past_trial, lo + width)])
+                 for lo in starts]
+
+        def oracle(n):
+            m, s, f = surds._peel(n, math.gcd(n, surds._SMALL_PRODUCT), 1, 1)
+            acc, k = 1, 0
+            while (1000 + k * width) ** 3 <= m:
+                acc = acc * (table[k] % m) % m
+                k += 1
+            m, s, f = surds._peel(m, math.gcd(m, acc), s, f)
+            r = math.isqrt(m)
+            return (s * r, f) if r * r == m else (s, f * m)
+
+        def prime_near(n, step):
+            i = bisect.bisect_left(past_trial, n)
+            return past_trial[i] if step > 0 else past_trial[i - 1]
+
+        cases = [10**18 - 1, 999_983**3]
+        for lo in starts:
+            # p*p*q just below and just above the cube of the window's start,
+            # with p the prime just below it and the prime just above it
+            for p in (prime_near(lo, -1), prime_near(lo, 1)):
+                q = -(-lo**3 // (p * p))
+                cases += [p * p * prime_near(q, -1), p * p * prime_near(q, 1)]
+        rng = random.Random(16384)
+        for _ in range(300):
+            cases.append(_random_prime(rng, rng.randrange(5, 10)) * _random_prime(rng, rng.randrange(5, 10)))
+        split = squarefree_split.__wrapped__
+        for n in cases:
+            assert n < 10**18
+            assert split(n) == oracle(n), n
+
+    def test_caller_context_is_neither_read_nor_changed(self):
+        cases = [(10**18 - 1, 9, (10**18 - 1) // 81), (999_983**3, 999_983, 999_983),
+                 (1009**3, 1009, 1009), (999_961 * 999_983, 1, 999_961 * 999_983)]
+        cases += [(p * p * q, p, q) for p, q in ((31607, 1009), (1013, 999_979), (999_983, 1_000_003))]
+        split = squarefree_split.__wrapped__
+
+        def fields(ctx):
+            return (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp,
+                    dict(ctx.traps), dict(ctx.flags))
+
+        def run(out):
+            with localcontext(Context(prec=3, rounding=ROUND_DOWN, traps=[])) as ctx:
+                before = fields(ctx)
+                got = [split(n) for n, _, _ in cases]
+                out.append((got, before, fields(ctx)))
+
+        results = []
+        surds._segment_product.cache_clear()  # the table is built under the caller's context too
+        worker = threading.Thread(target=run, args=(results,))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        surds._segment_product.cache_clear()
+        run(results)
+        assert len(results) == 2
+        for got, before, after in results:
+            assert got == [(s, f) for _, s, f in cases]
+            assert after == before
+            assert before[:2] == (3, ROUND_DOWN) and not any(before[6].values())
 
 
 class TestPrimePowers:
@@ -342,6 +429,53 @@ class TestMillerRabin:
 
     def test_square_times_prime_splits(self):
         assert squarefree_split.__wrapped__(self.P * self.P * self.Q) == (self.P, self.Q)
+
+
+class TestBailliePSW:
+    # psi_13, the least strong pseudoprime to all 13 bases of _MR_BASES
+    P, Q = 1287836182261, 2575672364521
+
+    def test_pseudoprime_to_every_base_is_composite(self):
+        n = self.P * self.Q
+        assert n == 3317044064679887385961981
+        assert not surds._is_probable_prime(n)
+        assert surds._is_probable_prime(self.P) and surds._is_probable_prime(self.Q)
+
+    def test_miller_rabin_rounds_pass_psi_13(self, monkeypatch):
+        # without the Lucas test the bases call psi_13 prime
+        monkeypatch.setattr(surds, "_is_strong_lucas_probable_prime", lambda n: True)
+        assert surds._is_probable_prime(self.P * self.Q)
+
+    def test_forced_composite_factor_splits(self, monkeypatch):
+        # Pollard-Brent may return any proper factor; given P*Q for P*Q*Q, the
+        # factor must not be trusted as a prime
+        n = self.P * self.Q * self.Q
+        rho = surds._pollard_brent
+        monkeypatch.setattr(surds, "_pollard_brent", lambda m: self.P * self.Q if m == n else rho(m))
+        assert squarefree_split.__wrapped__(n) == (self.Q, self.P)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the odd composites below 2*10**5 that pass the strong Lucas test
+        # with Selfridge's parameters (OEIS A217255); the test is only run on
+        # numbers with no prime factor up to 41, which drops 155819 = 19 * 8201
+        known = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+                 100127, 113573, 115639, 130139, 155819, 158399, 161027, 162133, 176399, 176471,
+                 189419, 192509, 197801]
+        passing = [n for n in range(43, ORACLE_LIMIT, 2)
+                   if all(n % p for p in surds._MR_BASES) and surds._is_strong_lucas_probable_prime(n)]
+        assert [n for n in passing if _LPF[n] != n] == [n for n in known if n != 155819]
+        assert [n for n in passing if _LPF[n] == n] == [p for p in range(43, ORACLE_LIMIT) if _LPF[p] == p]
+
+    def test_answers_below_the_miller_rabin_bound_are_unchanged(self, monkeypatch):
+        rng = random.Random(3317)
+        cases = [318665857834031151167461, 3317044064679887385961981 - 2, 2**61 - 1, 2**89 - 1]
+        for _ in range(400):
+            p = _random_prime(rng, rng.randrange(2, 13))
+            cases += [p, p * rng.choice(MID_PRIMES), p * p, rng.randrange(2, 33 * 10**23)]
+        verdicts = [surds._is_probable_prime(n) for n in cases]
+        monkeypatch.setattr(surds, "_is_strong_lucas_probable_prime", lambda n: True)
+        assert verdicts == [surds._is_probable_prime(n) for n in cases]
+        assert sum(verdicts) >= 400
 
 
 ORACLE_LIMIT = 2 * 10**5
