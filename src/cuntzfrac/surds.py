@@ -84,7 +84,7 @@ _WINDOW = 16384
 
 
 @functools.cache
-def _exact():
+def _exact_context():
     """The decimal context of the window reductions, built on the first use.
 
     decimal is imported here, so start-up and splits below 1000**3 never load
@@ -109,7 +109,7 @@ def _segment_product(k: int):
     # an int converts to a Decimal in time quadratic in its length, so runs of
     # 16 primes convert and libmpdec multiplies them; converting the whole
     # product instead doubled the time to build the table
-    ctx = _exact()
+    ctx = _exact_context()
     return functools.reduce(ctx.multiply, (ctx.create_decimal(math.prod(primes[i : i + 16]))
                                            for i in range(0, len(primes), 16)))
 
@@ -303,7 +303,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
     if m < _CERTIFIED_BELOW:
         acc = 1
         if _SMALL_BOUND ** 3 <= m:  # m reaches the first window
-            ctx = _exact()
+            ctx = _exact_context()
             mod, mul, dm = ctx.remainder, ctx.multiply, ctx.create_decimal(m)
             k = 0
             while (_SMALL_BOUND + k * _WINDOW) ** 3 <= m:
