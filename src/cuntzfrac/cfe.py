@@ -11,7 +11,6 @@ size of the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import words
 from .surds import (
@@ -19,6 +18,7 @@ from .surds import (
     QuadraticSurd,
     UnimodularMatrix,
     _floor_pq,
+    _Frozen,
     _json_int,
     _require_omega,
     _set_expansion,
@@ -39,8 +39,7 @@ def _check_quotients(w: Word, what: str = "partial quotients") -> None:
             raise ValueError(f"{what} must be integers >= 1")
 
 
-@dataclass(frozen=True)
-class PeriodicCFE:
+class PeriodicCFE(_Frozen):
     """Eventually periodic partial-quotient sequence in canonical form.
 
     The period is primitive and the initial block cannot be shortened by
@@ -50,12 +49,11 @@ class PeriodicCFE:
     :func:`minimal_period_normalize`.
     """
 
-    initial: Word
-    period: Word
+    __slots__ = __match_args__ = ("initial", "period")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "initial", tuple(self.initial))
-        object.__setattr__(self, "period", tuple(self.period))
+    def __init__(self, initial: Word, period: Word) -> None:
+        _set_initial(self, tuple(initial))
+        _set_period(self, tuple(period))
         if not self.period:
             raise ValueError("period must be nonempty")
         _check_quotients(self.initial + self.period)
@@ -66,19 +64,29 @@ class PeriodicCFE:
 
     @classmethod
     def _trusted(cls, initial: Word, period: Word) -> "PeriodicCFE":
-        # for blocks already canonical by construction: skips __post_init__.
-        # Filling e.__dict__ directly builds faster, but a materialized dict
-        # makes every later read, hash and == of the fields slower
+        # for blocks already canonical by construction: skips the checks
         e = object.__new__(cls)
-        object.__setattr__(e, "initial", initial)
-        object.__setattr__(e, "period", period)
+        _set_initial(e, initial)
+        _set_period(e, period)
         return e
+
+    # the fields compared directly: labels are compared and hashed in bulk
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.initial == other.initial and self.period == other.period
+
+    def __hash__(self) -> int:
+        return hash((self.initial, self.period))
 
     def __repr__(self) -> str:
         return f"PeriodicCFE(initial={words._shown(self.initial)}, period={words._shown(self.period)})"
 
     def __str__(self) -> str:
         return format_block(self)
+
+
+_set_initial, _set_period = PeriodicCFE._setters()
 
 
 def _reciprocal_state(x: QuadraticSurd) -> tuple[int, int, int, int]:

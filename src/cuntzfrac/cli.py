@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import sys
 
 from . import families, words
@@ -48,6 +47,7 @@ EXIT_DOMAIN = 3
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
+        import json  # here and in the other writers of JSON: start-up never loads it
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -187,6 +187,7 @@ def cmd_verify_examples(args) -> int:
         "failures": failures,
     }
     if failures:
+        import json
         _emit(args, payload, lines + [json.dumps(failures)])
         return EXIT_FAIL
     _emit(args, payload, lines)
@@ -228,6 +229,7 @@ def _results_json(results: list[dict]) -> str:
     # the fields on their lines, and only a record boundary reads "},\n    {"
     if not results:
         return "[]"
+    import json
     flat = json.dumps(results, separators=(",\n    ", ": "))
     return "[\n  {\n    " + flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 

@@ -10,7 +10,6 @@ common left inverse, and everything stays exact and finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import words
 from .cfe import (
@@ -23,7 +22,7 @@ from .cfe import (
     cfe_step_matrix,
     sigma_shift,
 )
-from .surds import QuadraticSurd, _require_omega, mobius_apply
+from .surds import QuadraticSurd, _Frozen, _require_omega, mobius_apply
 
 Word = words.Word
 
@@ -69,22 +68,21 @@ def canonical_cycle(j: Word) -> Word:
     return words.canonical_rotation(_primitive(j))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Frozen):
     """Class of the cyclic representation fixed by a finite word.
 
     The word is stored as its least rotation, so equality of Cycle values is
     equality of classes.
     """
 
-    word: Word
+    __slots__ = __match_args__ = ("word",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "word", canonical_cycle(self.word))
+    def __init__(self, word: Word) -> None:
+        object.__setattr__(self, "word", canonical_cycle(word))
 
     @classmethod
     def _of(cls, word: Word) -> "Cycle":
-        # for the least rotation of a checked, primitive period: skips __post_init__
+        # for the least rotation of a checked, primitive period: skips the checks
         c = object.__new__(cls)
         object.__setattr__(c, "word", word)
         return c
@@ -96,8 +94,7 @@ class Cycle:
         return "P(" + words._joined(self.word) + ")"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Frozen):
     """Class of a chain representation, known only by a finite prefix.
 
     `continuation` names the undisclosed remainder of the stream; two chains
@@ -105,11 +102,11 @@ class Chain:
     "?" is anonymous and never matches.
     """
 
-    prefix: Word
-    continuation: str = "?"
+    __slots__ = __match_args__ = ("prefix", "continuation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", tuple(self.prefix))
+    def __init__(self, prefix: Word, continuation: str = "?") -> None:
+        object.__setattr__(self, "prefix", tuple(prefix))
+        object.__setattr__(self, "continuation", continuation)
         _check_quotients(self.prefix, "prefix entries")
 
     def __repr__(self) -> str:
@@ -143,32 +140,30 @@ def classify_surd(x: QuadraticSurd) -> Cycle:
 # ---------------------------------------------------------------------------
 # word operators
 
-@dataclass(frozen=True)
-class WordOperator:
+class WordOperator(_Frozen):
     """Normal form s_A s_B* of a product of generators and adjoints.
 
     `left` is A, `right` is B; both empty means the identity.  The
     distinguished zero element carries no words.
     """
 
-    left: Word = ()
-    right: Word = ()
-    zero: bool = False
+    __slots__ = __match_args__ = ("left", "right", "zero")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
+    def __init__(self, left: Word = (), right: Word = (), zero: bool = False) -> None:
+        _set_left(self, tuple(left))
+        _set_right(self, tuple(right))
+        _set_zero(self, zero)
         if self.zero and (self.left or self.right):
             raise ValueError("the zero operator carries no words")
         _check_quotients(self.left + self.right, "generator indices")
 
     @classmethod
     def _trusted(cls, left: Word, right: Word) -> "WordOperator":
-        # for words whose indices are already checked: skips __post_init__
+        # for words whose indices are already checked: skips the checks
         u = object.__new__(cls)
-        object.__setattr__(u, "left", left)
-        object.__setattr__(u, "right", right)
-        object.__setattr__(u, "zero", False)
+        _set_left(u, left)
+        _set_right(u, right)
+        _set_zero(u, False)
         return u
 
     def __mul__(self, other: "WordOperator") -> "WordOperator":
@@ -195,6 +190,7 @@ class WordOperator:
         return "".join(parts)
 
 
+_set_left, _set_right, _set_zero = WordOperator._setters()
 ZERO = WordOperator(zero=True)
 IDENTITY = WordOperator()
 
@@ -278,12 +274,21 @@ class LabelSpace(frozenset):
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class CheckEntry:
-    check: str
-    instance: str
-    verdict: str
-    residual: int | None = None
+class CheckEntry(_Frozen):
+    __slots__ = __match_args__ = ("check", "instance", "verdict", "residual")
+
+    def __init__(self, check: str, instance: str, verdict: str, residual: int | None = None) -> None:
+        _set_check(self, check)
+        _set_instance(self, instance)
+        _set_verdict(self, verdict)
+        _set_residual(self, residual)
+
+    def __repr__(self) -> str:
+        return (f"CheckEntry(check={self.check!r}, instance={self.instance!r}, "
+                f"verdict={self.verdict!r}, residual={self.residual!r})")
+
+
+_set_check, _set_instance, _set_verdict, _set_residual = CheckEntry._setters()
 
 
 def report_to_json(entries) -> list[dict]:

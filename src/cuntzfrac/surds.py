@@ -18,9 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 from .words import _digits, _number, _shown
@@ -201,6 +199,7 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
 def _pollard_brent(n: int) -> int:
     if n % 2 == 0:
         return 2
+    import random  # on first use: start-up and small radicands never load it
     rng = random.Random(0xC0FFEE ^ n)
     while True:
         y = rng.randrange(1, n)
@@ -330,7 +329,42 @@ def squarefree_split(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # value types
 
-class QuadraticSurd:
+class _Frozen:
+    """Base of the immutable value types: the fields are the slots, set once
+    through their descriptors; == and hash go over the fields of two values of
+    one class, and pickle and copy rebuild through the public constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _setters(cls):
+        # the slots' own setters, which skip the frozen __setattr__
+        return (getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class QuadraticSurd(_Frozen):
     """The real number (a + b*sqrt(d))/c.
 
     Construct through :func:`normalize`, which reduces the coefficients by
@@ -357,12 +391,6 @@ class QuadraticSurd:
         _set_d(self, d)
         _set_canonical(self, None)
         _set_expansion(self, None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return QuadraticSurd, (self._a, self._b, self._c, self._d)
@@ -400,21 +428,19 @@ class QuadraticSurd:
         return format_surd(self)
 
 
-_set_a, _set_b, _set_c, _set_d, _set_canonical, _set_expansion = (
-    getattr(QuadraticSurd, name).__set__ for name in QuadraticSurd.__slots__
-)
+_set_a, _set_b, _set_c, _set_d, _set_canonical, _set_expansion = QuadraticSurd._setters()
 
 
-@dataclass(frozen=True)
-class UnimodularMatrix:
+class UnimodularMatrix(_Frozen):
     """2x2 integer matrix with determinant +1 or -1."""
 
-    m11: int
-    m12: int
-    m21: int
-    m22: int
+    __slots__ = __match_args__ = ("m11", "m12", "m21", "m22")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m11: int, m12: int, m21: int, m22: int) -> None:
+        for name, m in zip(self.__slots__, (m11, m12, m21, m22)):
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise ValueError("matrix entries must be integers")
+            object.__setattr__(self, name, m)
         if self.det not in (1, -1):
             raise ValueError(f"determinant must be +1 or -1, got {_digits(self.det)}")
 

@@ -1,7 +1,10 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -16,6 +19,7 @@ from cuntzfrac import (
     LabelSpace,
     NotPrimitive,
     PeriodicCFE,
+    UnimodularMatrix,
     WordOperator,
     ZERO,
     apply_word_op,
@@ -310,6 +314,75 @@ class TestPublicConstructors:
             assert hash(value) == hash(want)
 
 
+def _matched(value):
+    # positional class patterns, through each type's __match_args__
+    match value:
+        case PeriodicCFE(initial, period):
+            return initial, period
+        case UnimodularMatrix(m11, m12, m21, m22):
+            return m11, m12, m21, m22
+        case Cycle(word):
+            return (word,)
+        case Chain(prefix, continuation):
+            return prefix, continuation
+        case WordOperator(left, right, zero):
+            return left, right, zero
+        case CheckEntry(check, instance, verdict, residual):
+            return check, instance, verdict, residual
+
+
+# (value, an equal value built another way, field names, field values, the
+# text a frozen dataclass of those fields prints)
+VALUE_TYPES = [
+    (PeriodicCFE((1,), (2, 3)), PeriodicCFE._trusted((1,), (2, 3)), ("initial", "period"),
+     ((1,), (2, 3)), "PeriodicCFE(initial=(1,), period=(2, 3))"),
+    (UnimodularMatrix(2, 1, 1, 1), UnimodularMatrix(1, 1, 0, 1) @ UnimodularMatrix(1, 0, 1, 1),
+     ("m11", "m12", "m21", "m22"), (2, 1, 1, 1), "UnimodularMatrix(m11=2, m12=1, m21=1, m22=1)"),
+    (Cycle((2, 1)), Cycle._of((1, 2)), ("word",), ((1, 2),), "Cycle(word=(1, 2))"),
+    (Chain((1,)), Chain([1], continuation="?"), ("prefix", "continuation"), ((1,), "?"),
+     "Chain(prefix=(1,), continuation='?')"),
+    (WordOperator(), WordOperator._trusted((), ()), ("left", "right", "zero"), ((), (), False),
+     "WordOperator(left=(), right=(), zero=False)"),
+    (WordOperator((2,), (1, 3)), WordOperator._trusted((2,), (1, 3)), ("left", "right", "zero"),
+     ((2,), (1, 3), False), "WordOperator(left=(2,), right=(1, 3), zero=False)"),
+    (CheckEntry("c", "i=1", "pass", residual=None), CheckEntry("c", "i=1", "pass"),
+     ("check", "instance", "verdict", "residual"), ("c", "i=1", "pass", None),
+     "CheckEntry(check='c', instance='i=1', verdict='pass', residual=None)"),
+    (CheckEntry("c", "r=0", "fail", 3), CheckEntry(check="c", instance="r=0", verdict="fail", residual=3),
+     ("check", "instance", "verdict", "residual"), ("c", "r=0", "fail", 3),
+     "CheckEntry(check='c', instance='r=0', verdict='fail', residual=3)"),
+]
+
+
+class TestValueTypes:
+    # the contract the six types kept from frozen dataclasses
+    @pytest.mark.parametrize("value, other, names, fields, text", VALUE_TYPES,
+                             ids=[repr(v) for v, *_ in VALUE_TYPES])
+    def test_frozen_value_contract(self, value, other, names, fields, text):
+        cls = type(value)
+        assert type(other) is cls and other == value and hash(other) == hash(value) == hash(fields)
+        assert tuple(getattr(value, n) for n in names) == fields and cls.__match_args__ == names
+        assert cls(*fields) == cls(**dict(zip(names, fields))) == value
+        assert value != fields and not value == fields
+        assert repr(value) == text
+        assert _matched(value) == fields
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, fields[0])
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+        assert tuple(getattr(value, n) for n in names) == fields
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+            assert repr(copied) == text
+
+    def test_defaults(self):
+        assert WordOperator() == IDENTITY and not IDENTITY.zero
+        assert WordOperator(zero=True) == ZERO and (ZERO.left, ZERO.right) == ((), ())
+        assert Chain((1,)).continuation == "?"
+        assert CheckEntry("c", "i", "pass").residual is None
+
+
 class TestLabelAction:
     def test_generator_prepends(self):
         v = PeriodicCFE((), (1,))
@@ -357,15 +430,15 @@ class TestLabelAction:
         # s_A s_B* drops B and folds A in once: one label built per call that
         # neither annihilates nor is the identity, and no per-symbol rule
         built = []
-        trusted, post_init = PeriodicCFE._trusted.__func__, PeriodicCFE.__post_init__
+        trusted, init = PeriodicCFE._trusted.__func__, PeriodicCFE.__init__
 
         def spy_trusted(cls, initial, period):
             built.append(1)
             return trusted(cls, initial, period)
 
-        def spy_post_init(self):
+        def spy_init(self, initial, period):
             built.append(1)
-            post_init(self)
+            init(self, initial, period)
 
         def refuse(*args):
             raise AssertionError("per-symbol rule in the word action")
@@ -375,7 +448,7 @@ class TestLabelAction:
         cases += [(WordOperator((2, 1), block_prefix(w, 9)), w) for _, w in cases[:50]]
         want = [apply_word_op(u, w) for u, w in cases]
         monkeypatch.setattr(PeriodicCFE, "_trusted", classmethod(spy_trusted))
-        monkeypatch.setattr(PeriodicCFE, "__post_init__", spy_post_init)
+        monkeypatch.setattr(PeriodicCFE, "__init__", spy_init)
         for name in ("cuntzfrac.cuntz.sigma_shift", "cuntzfrac.cuntz.label_cons",
                      "cuntzfrac.cfe.sigma_shift"):
             monkeypatch.setattr(name, refuse)

@@ -13,6 +13,7 @@ import threading
 import time
 from dataclasses import FrozenInstanceError
 from decimal import ROUND_DOWN, Context, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -312,22 +313,28 @@ class TestGcdCertificate:
         assert surds._segment_product.cache_info().misses == info.misses
 
     def test_nothing_is_built_at_import(self):
-        # decimal is loaded by the first split that reaches a window, so
-        # neither start-up nor a small classify pays for its import
+        # decimal is loaded by the first split that reaches a window, random
+        # by the first Pollard-Brent run and json by the first JSON output,
+        # and dataclasses only on an attempt to change a value, so neither
+        # start-up nor a small classify pays for their imports.  -S keeps
+        # site, which may import random itself, out of the child
         code = "\n".join([
             "import sys",
             "import cuntzfrac.surds as s",
             "assert s._segment_product.cache_info().currsize == 0",
             "import cuntzfrac.cli as cli",
-            "assert 'decimal' not in sys.modules",
             "assert cli.main(['classify', '(-1+1*sqrt(5))/2']) == 0",
-            "assert 'decimal' not in sys.modules",
+            "lazy = [m for m in ('dataclasses', 'inspect', 'random', 'json', 'decimal') if m in sys.modules]",
+            "assert not lazy, lazy",
+            "assert cli.main(['classify', '--format', 'json', '(-1+1*sqrt(5))/2']) == 0",
+            "assert 'json' in sys.modules and 'decimal' not in sys.modules",
             "s.squarefree_split(1009**3)",
             "assert 'decimal' in sys.modules",
         ])
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surds.__file__)))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, env=env)
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=60, env=env)
         assert done.returncode == 0, done.stderr
+        assert done.stdout == b'P(1)\n{"class": "P(1)", "word": [1]}\n'
 
     def test_decimal_reduction_against_int_loop(self, primes_below_10_6):
         # the int loop of the table it replaced is the oracle: every step of
@@ -735,6 +742,12 @@ class TestMobius:
             UnimodularMatrix(1, 0, 0, 2)
         assert UnimodularMatrix(0, 1, 1, 0).det == -1
         assert UnimodularMatrix(2, 1, 1, 1).det == 1
+
+    @pytest.mark.parametrize("entries", [(0.5, 0, 0, 2), (Fraction(1, 2), 0, 0, 2), (1.5, 0.5, 1, 1),
+                                         (1, 0, 0, 1.0), (True, 0, 0, 1)])
+    def test_entries_must_be_integers(self, entries):
+        # the determinant alone would admit each of these
+        assert raised(UnimodularMatrix, *entries) == (ValueError, "matrix entries must be integers")
 
     def test_inverse_composes_to_identity(self):
         m = UnimodularMatrix(2, 1, 1, 1) @ UnimodularMatrix(0, 1, 1, 0)
