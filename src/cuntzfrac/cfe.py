@@ -469,12 +469,13 @@ def parse_block(text: str) -> PeriodicCFE:
     head, _, body = "".join(text.split()).partition("(")
     first = head[:-1].split(",") if head else []
     rest = body[:-1].split(",")
-    if head[-1:] not in ("", ",") or body[-1:] != ")" or not (
-        all(map(str.isdecimal, first)) and all(map(str.isdecimal, rest))
-    ):
-        raise ParseError(f"not a block literal: {text!r}")
-    initial = words._entries(first)
-    period = words._entries(rest)
+    try:
+        if head[-1:] not in ("", ",") or body[-1:] != ")":
+            raise ValueError
+        initial = words._entries(first)  # checks each entry it reads
+        period = words._entries(rest)
+    except ValueError:
+        raise ParseError(f"not a block literal: {text!r}") from None
     if 0 in initial or 0 in period:  # decimal digits admit no other bad value
         raise ParseError(f"partial quotients must be >= 1: {text!r}")
     return _canonical(initial, period)

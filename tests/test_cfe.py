@@ -332,7 +332,7 @@ class TestBlockText:
             ("(0)", "partial quotients must be >= 1: '(0)'"),
             ("1,(0,2)", "partial quotients must be >= 1: '1,(0,2)'"),
             ("1,2", "not a block literal: '1,2'"),
-            # the grammar is checked on both parts before any entry is read
+            # every entry of both parts is read and checked before a zero counts
             ("(0,x)", "not a block literal: '(0,x)'"),
             ("0,(x)", "not a block literal: '0,(x)'"),
             ("x,(0)", "not a block literal: 'x,(0)'"),
@@ -343,6 +343,41 @@ class TestBlockText:
         with pytest.raises(ParseError) as info:
             parse_block(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # a zero before a bad entry and after one: the bad entry wins
+            ("(1,0,x)", "not a block literal: '(1,0,x)'"),
+            ("(1,x,0)", "not a block literal: '(1,x,0)'"),
+            ("0,(1,+2)", "not a block literal: '0,(1,+2)'"),
+            ("(1,,2)", "not a block literal: '(1,,2)'"),
+            ("()", "not a block literal: '()'"),
+            ("1,(2", "not a block literal: '1,(2'"),
+            ("(1)x", "not a block literal: '(1)x'"),
+            ("(1,(2))", "not a block literal: '(1,(2))'"),
+            ("(5_0)", "not a block literal: '(5_0)'"),
+            ("(-1)", "not a block literal: '(-1)'"),
+            ("(²)", "not a block literal: '(²)'"),
+            ("(1,0)", "partial quotients must be >= 1: '(1,0)'"),
+            ("000,(1)", "partial quotients must be >= 1: '000,(1)'"),
+            # leading zeros, non-ASCII decimal digits, entries past the
+            # tables and whitespace inside an entry
+            ("(007,2)", PeriodicCFE((), (7, 2))),
+            ("٣,(٠٢,1)", PeriodicCFE((3,), (2, 1))),
+            ("(1024,1,5000)", PeriodicCFE((), (1024, 1, 5000))),
+            ("( 1 0 2\t4 ,\n2 )", PeriodicCFE((), (1024, 2))),
+        ],
+    )
+    def test_parse_answers_and_errors(self, text, want):
+        # each entry is checked as it is read; the answers, the error types
+        # and the messages are those of a separate isdecimal pass before it
+        if isinstance(want, str):
+            with pytest.raises(ParseError) as info:
+                parse_block(text)
+            assert str(info.value) == want and info.value.__cause__ is None
+        else:
+            assert parse_block(text) == want
 
     def test_parse_matches_normalize(self):
         # whitespace, leading zeros, non-primitive periods and initial tails

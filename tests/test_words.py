@@ -1,19 +1,23 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unlimited
+from cuntzfrac import words
 from cuntzfrac.words import (
+    _CUT_FROM,
     _ENTRY,
     _TEXT,
     _digits,
     _entries,
     _joined,
     _number,
+    _scan,
     _shown,
     canonical_rotation,
     failure_function,
@@ -143,6 +147,119 @@ def test_least_rotation_index_long_words(name):
 
 
 # ---------------------------------------------------------------------------
+# long words are cut at the runs of their least entry and solved in str
+# methods; the scan and smallest_least_rotation are the oracles
+
+def _cut_path(monkeypatch, w):
+    # the answer, and whether w was cut: the scan never saw all of it
+    lengths = []
+    monkeypatch.setattr(words, "_scan", lambda v: lengths.append(len(v)) or _scan(v))
+    got = least_rotation_index(w)
+    monkeypatch.undo()
+    assert all(n < _CUT_FROM for n in lengths if n != len(w))
+    return got, len(w) not in lengths
+
+
+def test_cut_at_the_threshold(monkeypatch):
+    rng = random.Random(11)
+    for n in (_CUT_FROM - 1, _CUT_FROM, _CUT_FROM + 1):
+        for low, top in ((1, 2), (1, 3), (1, 9), (1, 10**6), (0, 2), (5, 9)):
+            for _ in range(40):
+                w = tuple(rng.randint(low, top) for _ in range(n))
+                got, cut = _cut_path(monkeypatch, w)
+                assert got == smallest_least_rotation(w) == _scan(w), w
+                assert cut == (n >= _CUT_FROM)
+
+
+def test_cut_matches_scan_on_random_words():
+    rng = random.Random(12)
+    for top in (2, 9, 10**6):
+        for n in (300, 1000, 3000, 10_000):
+            for _ in range(4):
+                w = tuple(rng.randint(1, top) for _ in range(n))
+                assert least_rotation_index(w) == _scan(w)
+        w = tuple(rng.randint(1, top) for _ in range(2000))
+        assert least_rotation_index(w) == smallest_least_rotation(w)
+
+
+def test_cut_gives_the_smallest_start_of_a_power():
+    rng = random.Random(13)
+    for _ in range(150):
+        u = tuple(rng.randint(1, rng.choice((2, 3, 9))) for _ in range(rng.randint(1, 90)))
+        k = rng.randint(2, 3 * _CUT_FROM // len(u) + 2)
+        for w in (u * k, u[3:] + u * (k - 1) + u[:3]):
+            assert least_rotation_index(w) == smallest_least_rotation(w) < len(u), (u, k)
+
+
+def _run_word(rng, n, run_max):
+    # runs of the least entry 1 of random lengths between larger entries
+    w = []
+    while len(w) < n:
+        w += [1] * rng.randint(1, run_max) + [rng.randint(2, 4) for _ in range(rng.randint(1, 3))]
+    return tuple(w[:n])
+
+
+@pytest.mark.parametrize("n", [_CUT_FROM, 1000, 10_000])
+def test_cut_on_periodic_and_run_families(n):
+    rng = random.Random(n)
+    k = n // 3
+    family = [
+        (1, 2) * ((n - 2) // 2) + (1, 3),
+        (1, 1, 2) * ((n - 4) // 3) + (1, 1, 2, 2),
+        (1,) * (n - 1) + (2,),
+        (2,) + (1,) * (n - 1),
+        (1,) * n,
+        # the longest run wraps around the end of the word
+        (1,) * k + (2,) + (3, 1) * (k // 2) + (1,) * (k // 3),
+        (1,) * 5 + (2, 1, 1, 3) * (n // 4) + (1,) * 4,
+        (1,) * 4 + (2,) + (1,) * 3 + (2,) * 3 + (1, 3) * (n // 2),
+        _run_word(rng, n, 3), _run_word(rng, n, 40), _run_word(rng, n, n // 4),
+        _thue_morse_word(n), _fibonacci_word(n),
+    ]
+    oracle = smallest_least_rotation if n <= 1000 else _scan
+    for w in family:
+        assert least_rotation_index(w) == oracle(w), w[:20]
+        for r in (1, len(w) // 2, len(w) - 1):
+            v = w[r:] + w[:r]
+            assert least_rotation_index(v) == _scan(v)
+
+
+def test_entries_no_code_point_holds_take_the_scan(monkeypatch):
+    n = 2 * _CUT_FROM
+    rng = random.Random(14)
+    fits = [0x10FFFF, 0x10FFFE, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xD7FF, 0xE000, 0]
+    for big, on_cut in [(0x10FFFF, True), (0xDFFF, True), (0x110000, False), (2**32 - 1, False),
+                        (2**32, False), (10**30, False), (-1, False)]:
+        for w in (tuple(rng.choice((big, *fits)) for _ in range(n)),
+                  (big,) * (n - 1) + (0xDABC,), (0xD800, big) * (n // 2)):
+            got, cut = _cut_path(monkeypatch, w)
+            assert got == smallest_least_rotation(w) == _scan(w)
+            assert cut == on_cut
+
+
+def test_words_too_long_to_rank_take_the_scan(monkeypatch):
+    # a word of 0x220000 entries can have 0x110000 tails, and a rank that
+    # large is no code point
+    w = (1,) * (0x220000 - 1) + (2,)
+    assert _cut_path(monkeypatch, w) == (0, False)
+    assert _cut_path(monkeypatch, w[2:]) == (0, True)
+
+
+def test_cut_stays_within_twice_the_scan():
+    # not a speed claim, a guard against a search that goes quadratic: on
+    # (112)^k1122 the cut is faster than the scan, so twice the scan, best of
+    # three interleaved runs in this process, leaves room for noise
+    w = (1, 1, 2) * 33_332 + (1, 1, 2, 2)
+    cut, scan = [], []
+    for _ in range(3):
+        for f, times in ((least_rotation_index, cut), (_scan, scan)):
+            start = time.process_time()
+            assert f(w) == 0
+            times.append(time.process_time() - start)
+    assert min(cut) < 2 * min(scan)
+
+
+# ---------------------------------------------------------------------------
 # word text: the oracle is the conversion the tables replace
 
 @pytest.mark.parametrize(
@@ -158,6 +275,15 @@ def test_entries_read_what_isdecimal_admits():
     parts = ["٣", "007", "0", "01023", "1024", "٠٠٢"]
     assert all(map(str.isdecimal, parts))
     assert _entries(parts) == tuple(map(int, parts)) == (3, 7, 0, 1023, 1024, 2)
+
+
+@pytest.mark.parametrize("part", [" 5", "5 ", "+5", "-5", "5_0", "", "1.0", "²", "0x1", "五"])
+def test_entries_refuse_what_isdecimal_refuses(part):
+    # int() reads signs, whitespace and underscores; an entry is digits only
+    assert not part.isdecimal()
+    for parts in ([part], ["7", part], [part, "1024"], ["2000", part]):
+        with pytest.raises(ValueError):
+            _entries(parts)
 
 
 def test_tables_stay_fixed():
