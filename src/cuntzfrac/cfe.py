@@ -11,6 +11,8 @@ size of the state.
 from __future__ import annotations
 
 import math
+import sys
+from itertools import repeat
 
 from . import words
 from .surds import (
@@ -143,23 +145,32 @@ def cfe_periodic(x: QuadraticSurd) -> PeriodicCFE:
     period in about half of its steps.  A cycle with no centre is walked to
     its return, and so is one that comes back within _REFLECT_FROM steps.
 
-    The expansion is kept on x, so a value is walked at most once, and a value
-    built by :func:`surd_from_cfe` is never walked.
+    The walk starts from the reciprocal state of x; :func:`surd_from_cfe`
+    certifies a guessed answer with the same walk.  The expansion is kept on
+    x, so a value is walked at most once, and a value built by
+    :func:`surd_from_cfe` is never walked.
     """
     e = x._expansion
     if e is None:
-        e = _walk(x)
+        _require_omega(x)
+        e = _walk(*_reciprocal_state(x))
         _set_expansion(x, e)
     return e
 
 
-def _walk(x: QuadraticSurd) -> PeriodicCFE:
-    # cfe_periodic's walk, which runs once per value
-    _require_omega(x)
-    p, q, q_prev, d = _reciprocal_state(x)
+def _walk(p: int, q: int, q_prev: int, d: int, limit: int = sys.maxsize) -> PeriodicCFE | None:
+    """Expansion of (P + sqrt(D))/Q, Q_prev * Q = D - P*P, D no square, walked
+    as :func:`cfe_periodic` says; None where it would read more than limit
+    quotients over its four loops (pre-period, forward, _REFLECT_FROM tail,
+    backward).  No memory holds a walk as long as the default.  The step stays
+    inline, as a call per quotient costs about 40% more, and the long loops
+    count in repeat(): range makes a new int per step past 256.
+    """
     sd = math.isqrt(d)
     quotients: list[int] = []
     while not (0 < p <= sd and sd - p < q <= sd + p):
+        if len(quotients) == limit:
+            return None
         a = _floor_pq(p, q, sd)
         quotients.append(a)
         p_next = a * q - p
@@ -167,7 +178,7 @@ def _walk(x: QuadraticSurd) -> PeriodicCFE:
         p = p_next
     start = len(quotients)
     p0, q0, q_back = p, q, q_prev
-    while True:
+    for _ in repeat(None, limit - start):
         a = (p + sd) // q  # q > 0 in every reduced state
         quotients.append(a)
         p_next = a * q - p
@@ -178,12 +189,16 @@ def _walk(x: QuadraticSurd) -> PeriodicCFE:
         if p_next == p or q == q_prev:
             break
         p = p_next
+    else:
+        return None
     # a centre that keeps P sits on a quotient, which its reflection must not
     # repeat; one that keeps Q sits between two quotients
     centre, fwd_on_quotient = len(quotients), p_next == p
     # a cycle that comes back within _REFLECT_FROM steps is walked to its
     # return, which costs less than reflecting it
     while len(quotients) - start < _REFLECT_FROM:
+        if len(quotients) == limit:
+            return None
         p = p_next
         a = (p + sd) // q
         quotients.append(a)
@@ -191,23 +206,26 @@ def _walk(x: QuadraticSurd) -> PeriodicCFE:
         q, q_prev = q_prev + a * (p - p_next), q
         if p_next == p0 and q == q0:
             return PeriodicCFE._trusted(tuple(quotients[:start]), tuple(quotients[start:]))
-    del quotients[centre:]
     back: list[int] = []
     p, q, q_prev = p0, q_back, q0
     back_on_quotient = False
-    while q != q_prev:  # keeps Q; before any step, the centre between the two walks
-        a = (p + sd) // q
-        back.append(a)
-        p_next = a * q - p
-        q, q_prev = q_prev + a * (p - p_next), q
-        if p_next == p:
-            back_on_quotient = True
-            break
-        p = p_next
+    if q != q_prev:  # keeps Q: the start is the centre between the two walks
+        for _ in repeat(None, limit - len(quotients)):
+            a = (p + sd) // q
+            back.append(a)
+            p_next = a * q - p
+            q, q_prev = q_prev + a * (p - p_next), q
+            if p_next == p or q == q_prev:
+                break
+            p = p_next
+        else:
+            return None
+        back_on_quotient = p_next == p
     # the period from the start: forward to the centre, back by reflection,
     # on through the quotients walked backward (they continue the reflection),
     # and by reflecting those about the other centre back to the start
-    quotients += reversed(quotients[start : len(quotients) - fwd_on_quotient])
+    del quotients[centre:]
+    quotients += reversed(quotients[start : centre - fwd_on_quotient])
     quotients += back[: len(back) - back_on_quotient]
     quotients += reversed(back)
     return PeriodicCFE._trusted(tuple(quotients[:start]), tuple(quotients[start:]))
@@ -310,63 +328,19 @@ def _pinned(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
 def _certified(a: int, b: int, c: int, period: Word) -> bool:
     """Does the root y of a*y^2 + b*y - c in (0, 1) expand to (period)?
 
-    period is primitive and a, c > 0.  The reciprocal of y is
-    (b + sqrt(D))/(2c), positive as sqrt(D) > |b|, with the state
-    (P, Q, Q_prev) = (b, 2c, 2a): Q_prev * Q = D - P*P.  A square D is
-    refused, which keeps every Q nonzero.  A purely periodic y has a reduced
-    reciprocal (Galois), so a start that is not reduced is refused.  From a
-    reduced start, the expansion of y is what :func:`_walk` computes for it,
-    by the theorem :func:`cfe_periodic` rests on, and this is _walk's walk
-    with each quotient compared to the period as it is read: forward to the
-    first centre, then backward from the swapped start to the centre before
-    it, and y's period is the reflection of the two.  True means that
-    reflection is the period or, with no centre in n steps, that the state
-    came back after the n quotients.  Either way True is a proof, and a
-    symmetric period costs about half of its steps.
+    a, c > 0.  1/y = (b + sqrt(D))/(2c) has the state (P, Q, Q_prev) =
+    (b, 2c, 2a); a square D is refused, which keeps every Q nonzero.  True
+    means :func:`_walk` expands the state to no initial block (the start is
+    reduced) and exactly the period, a proof.  The right candidate reads at
+    most n + _REFLECT_FROM quotients: n with no centre, else the larger of
+    _REFLECT_FROM and the steps to the first centre, plus those back to the
+    other.  A wrong candidate's cycle can be far longer, so its walk is cut.
     """
-    # the step is _walk's, inline: a call per quotient costs about 40% more
     d = b * b + 4 * a * c
-    sd = math.isqrt(d)
-    p, q, q_prev, q0 = b, 2 * c, 2 * a, 2 * c
-    if sd * sd == d or not (0 < p <= sd and sd - p < q <= sd + p):
+    if math.isqrt(d) ** 2 == d:
         return False
-    n = len(period)
-    for i, want in enumerate(period):
-        k = (p + sd) // q
-        if k != want:
-            return False
-        p_next = k * q - p
-        q, q_prev = q_prev + k * (p - p_next), q
-        if p_next == p or q == q_prev:
-            break
-        p = p_next
-    else:
-        return p == b and q == q0
-    centre, fwd_on_quotient = i + 1, p_next == p
-    # backward from the swapped start, reading period[j:] in reverse
-    j, back_on_quotient = n, False
-    p, q, q_prev = b, 2 * a, q0
-    while q != q_prev:
-        j -= 1
-        k = (p + sd) // q
-        if j < centre or k != period[j]:
-            return False
-        p_next = k * q - p
-        q, q_prev = q_prev + k * (p - p_next), q
-        if p_next == p:
-            back_on_quotient = True
-            break
-        p = p_next
-    # _walk's cycle from these walks is period[:centre], those quotients
-    # reflected about the centre, the backward walk's quotients, and their
-    # reflection, period[j:]; it is the period when it is as long and the two
-    # reflected stretches match
-    mid = 2 * centre - fwd_on_quotient
-    return (
-        n - j - back_on_quotient == j - mid
-        and period[centre:mid][::-1] == period[: centre - fwd_on_quotient]
-        and period[mid:j][::-1] == period[j + back_on_quotient :]
-    )
+    e = _walk(b, 2 * c, 2 * a, d, len(period) + _REFLECT_FROM)
+    return e is not None and e.initial == () and e.period == period
 
 
 def _guess(period: Word) -> tuple[int, int, int] | None:
@@ -426,9 +400,9 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
     rationals in the brackets of their difference and product give a
     candidate polynomial; m doubles from 8 while it is at most n/32.  A
     candidate is kept only if its root re-expands to the period
-    (:func:`_certified`): its reciprocal state is reduced, every quotient it
-    walks matches, and the reflection of a symmetric cycle, or the return of
-    one without a centre, gives back the whole period.  So the answer is
+    (:func:`_certified`): the root's reciprocal state is walked as
+    :func:`cfe_periodic` walks a value, for at most n + _REFLECT_FROM
+    quotients, and must give exactly the block (period).  So the answer is
     proved, and the prefix only guides the search.  If no candidate is kept,
     the exact product answers; the initial block is always folded exactly.
     Either way e is proved to be the expansion of the root, which keeps it,

@@ -667,8 +667,8 @@ class TestGuessedFold:
     def test_certificate(self):
         # (A, B, C) stands for the root of A*y^2 + B*y - C in (0, 1)
         assert cfe._certified(1, 1, 1, (1,))  # the golden ratio's (1)
-        # sqrt(3) - 1 = [0; 1, 2, 1, 2, ...]: under the period (1) its first
-        # quotient matches, but the state does not come back
+        # sqrt(3) - 1 = [0; 1, 2, 1, 2, ...]: its cycle (1, 2) is walked, and
+        # the period (1) is not its block
         assert cfe._certified(1, 2, 2, (1, 2))
         assert not cfe._certified(1, 2, 2, (1,))
         assert not cfe._certified(1, 2, 2, (2, 1))  # first quotient differs
@@ -731,9 +731,10 @@ class TestGuessedFold:
 
 
 class TestHalfCertificate:
-    # on a symmetric period the certificate walks forward to the first centre
-    # and backward to the one before the start, about n/2 steps, and compares
-    # the rest of the period with the reflection of what it walked
+    # the certificate walks the candidate's own cycle as cfe_periodic walks a
+    # value, so a symmetric cycle takes about n/2 steps, forward to the first
+    # centre and backward to the one before the start, and then compares the
+    # block the walk gives with the period
 
     @staticmethod
     def _refused_after(monkeypatch, abc, period):
@@ -743,8 +744,8 @@ class TestHalfCertificate:
         return _CountedRoot.steps
 
     def test_forward_match_then_differs(self, monkeypatch):
-        # w + reverse(w) starts on a centre: the forward walk reads w and stops
-        # at the other centre, so an entry changed after it is never read
+        # w + reverse(w) starts on a centre: the candidate's walk reads w and
+        # stops at the other centre, so a changed entry after it costs no step
         rng = random.Random(233)
         w = tuple(rng.randint(1, 9) for _ in range(200))
         period = w + w[::-1]
@@ -756,10 +757,9 @@ class TestHalfCertificate:
             assert self._refused_after(monkeypatch, abc, changed) == 200
 
     def test_backward_match_middle_differs(self, monkeypatch):
-        # w + reverse(w) rotated by a quarter: the forward walk reads 100
-        # entries to one centre, the backward walk the last 100 to the other,
-        # and the 100 entries after the reflected forward stretch mirror
-        # those the backward walk read
+        # w + reverse(w) rotated by a quarter: the candidate's forward walk
+        # reads 100 entries to one centre, the backward walk the last 100 to
+        # the other, and a changed entry in the reflected middle costs no step
         rng = random.Random(239)
         w = tuple(rng.randint(1, 9) for _ in range(200))
         period = (w + w[::-1])[100:] + (w + w[::-1])[:100]
@@ -802,6 +802,19 @@ class TestHalfCertificate:
         assert _CountedRoot.steps == len(e.period)
         monkeypatch.undo()
         assert surd_from_cfe(e) == x
+
+    @pytest.mark.usefixtures("reflect_from")
+    def test_wrong_candidate_with_a_long_cycle_is_cut(self, monkeypatch):
+        # the answer for the 30,330 quotients of sqrt(5720702249), checked
+        # against its first 300: the walk of the candidate's own cycle, about
+        # 50 times as long as n even when halved, is cut after n +
+        # _REFLECT_FROM, the bound an exit at the first wrong quotient gave
+        period = _sqrt_period(5_720_702_249)
+        abc, short = _exact_abc(period), period[:300]
+        assert is_primitive(short)
+        _count_steps(monkeypatch)
+        assert not cfe._certified(*abc, short)
+        assert _CountedRoot.steps == len(short) + cfe._REFLECT_FROM
 
     def test_small_candidates_match_the_full_walk(self):
         # every (a, b, c) in a box, on every primitive period of up to four
@@ -1069,6 +1082,71 @@ class TestHalfWalk:
         assert cfe_periodic(x) == want
         assert len(want.period) == 100_582
         assert _CountedRoot.steps == 100_582 // 2 + 1
+
+
+def _reads(period, reflect_from):
+    """Quotients _walk reads from a reduced start of (period), and the loop
+    that reads the last of them, by the counts of test_half_the_steps."""
+    n, centres = len(period), _centres(period)
+    if n == 1 or not centres:
+        return n, "forward"
+    if n <= reflect_from:
+        return n, "tail"
+    first = centres[0] // 2 + 1  # steps to the first centre
+    back = (n + sum(c % 2 == 0 for c in centres)) // 2 - first
+    last = "backward" if back else "tail" if first < reflect_from else "forward"
+    return max(first, reflect_from) + back, last
+
+
+def _count_reads(monkeypatch):
+    # _count_steps, with the pre-period steps counted whatever the sign of Q
+    _count_steps(monkeypatch)
+    floor = cfe._floor_pq
+
+    def counted(p, q, sd):
+        _CountedRoot.steps += 1
+        return floor(p, q, int(sd))
+
+    monkeypatch.setattr(cfe, "_floor_pq", counted)
+
+
+@pytest.mark.usefixtures("reflect_from")
+class TestWalkLimit:
+    def test_reads_at_most_the_limit(self, monkeypatch, reflect_from):
+        # a walk of L quotients in all reads min(limit, L) of them, and gives
+        # its block from limit L on and None below; the cases put the L-th
+        # read in the forward, tail and backward loops, and limits below the
+        # pre-period stop in its loop
+        rng = random.Random(251)
+        cases = []
+        while len(cases) < 400:
+            w = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 20)))
+            period = rng.choice((w, w + w[::-1], w + w[::-1][1:], w[:1] + w + w[:1] + w[::-1]))
+            if is_primitive(period):
+                e = minimal_period_normalize(tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 3))), period)
+                cases.append((e, cfe._reciprocal_state(surd_from_cfe(e))))
+        loops, preperiods = set(), 0
+        _count_reads(monkeypatch)
+        for e, state in cases:
+            reads, last = _reads(e.period, reflect_from)
+            reads += len(e.initial)
+            assert cfe._walk(*state) == e
+            for limit in range(reads + 2):
+                _CountedRoot.steps = 0
+                assert cfe._walk(*state, limit) == (e if limit >= reads else None)
+                assert _CountedRoot.steps == min(limit, reads)
+            loops.add(last)
+            preperiods += bool(e.initial)
+        assert loops == ({"forward", "tail", "backward"} if reflect_from > 1 else {"forward", "backward"})
+        assert preperiods > 200
+
+    def test_limit_at_period_1e5(self):
+        # sqrt(89151474086): 100,582 quotients read in 50,292 steps
+        state = cfe._reciprocal_state(_sqrt_part(89151474086))
+        e = cfe._walk(*state)
+        assert len(e.period) == 100_582
+        assert cfe._walk(*state, 100_582 // 2 + 1) == e
+        assert cfe._walk(*state, 100_582 // 2) is None
 
 
 # ---------------------------------------------------------------------------
