@@ -110,7 +110,12 @@ def cfe_expand(x: QuadraticSurd, n: int) -> Word:
     if n < 1:
         raise ValueError("need n >= 1")
     _require_omega(x)
-    p, q, q_prev, d = _reciprocal_state(x)
+    return _expand(*_reciprocal_state(x), n)
+
+
+def _expand(p: int, q: int, q_prev: int, d: int, n: int) -> Word:
+    # the first n quotients of (P + sqrt(D))/Q, Q_prev * Q = D - P*P, D no
+    # square, from any state: no test for a reduced one
     sd = math.isqrt(d)
     out = []
     for _ in range(n):
@@ -325,7 +330,7 @@ def _pinned(a: int, b: int, c: int, d: int) -> tuple[int, int] | None:
         a, b, c, d = d, c - t * d, b, a - t * b
 
 
-def _certified(a: int, b: int, c: int, period: Word) -> bool:
+def _certified(a: int, b: int, c: int, period: Word, prefix: int = 0) -> bool:
     """Does the root y of a*y^2 + b*y - c in (0, 1) expand to (period)?
 
     a, c > 0.  1/y = (b + sqrt(D))/(2c) has the state (P, Q, Q_prev) =
@@ -335,9 +340,12 @@ def _certified(a: int, b: int, c: int, period: Word) -> bool:
     most n + _REFLECT_FROM quotients: n with no centre, else the larger of
     _REFLECT_FROM and the steps to the first centre, plus those back to the
     other.  A wrong candidate's cycle can be far longer, so its walk is cut.
+    The first prefix quotients are compared before the walk: a wrong guess
+    from m quotients at each end parts from the period within about m, and
+    :func:`_guess` passes 2m, which refuses it at a share of the walk.
     """
     d = b * b + 4 * a * c
-    if math.isqrt(d) ** 2 == d:
+    if math.isqrt(d) ** 2 == d or _expand(b, 2 * c, 2 * a, d, prefix) != period[:prefix]:
         return False
     e = _walk(b, 2 * c, 2 * a, d, len(period) + _REFLECT_FROM)
     return e is not None and e.initial == () and e.period == period
@@ -374,7 +382,7 @@ def _guess(period: Word) -> tuple[int, int, int] | None:
             # lowest terms on both sides make (a, b, c) primitive with a > 0
             a = math.lcm(ba[1], ca[1])
             b, c = ba[0] * (a // ba[1]), ca[0] * (a // ca[1])
-            if _certified(a, b, c, period):
+            if _certified(a, b, c, period, 2 * m):
                 return a, b, c
         read, m = m, 2 * m
     return None
@@ -400,7 +408,8 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
     rationals in the brackets of their difference and product give a
     candidate polynomial; m doubles from 8 while it is at most n/32.  A
     candidate is kept only if its root re-expands to the period
-    (:func:`_certified`): the root's reciprocal state is walked as
+    (:func:`_certified`): its first 2m quotients must be the period's, which
+    refuses a wrong one early, and the root's reciprocal state is walked as
     :func:`cfe_periodic` walks a value, for at most n + _REFLECT_FROM
     quotients, and must give exactly the block (period).  So the answer is
     proved, and the prefix only guides the search.  If no candidate is kept,

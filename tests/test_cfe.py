@@ -664,6 +664,28 @@ class TestGuessedFold:
         assert [surd_from_cfe(e) for e in blocks] == want
         assert verdicts.count(False) > 60 and verdicts.count(True) > 20
 
+    def test_failed_guess_is_refused_within_its_prefix(self, monkeypatch):
+        # random entries 1-9 give answers too large for any short prefix, so
+        # every candidate is wrong; one pinned from m quotients at each end
+        # parts from the period within about m, and the 2m quotients _guess
+        # has compared before the walk refuse it, while its own cycle is
+        # about as long as the period
+        rng = random.Random(101)
+        calls = []
+        certified = cfe._certified
+        monkeypatch.setattr(cfe, "_certified", lambda *args: calls.append(args) or certified(*args))
+        for _ in range(40):
+            period = tuple(rng.randint(1, 9) for _ in range(rng.randint(_GUESS_FROM + 1, 4000)))
+            if is_primitive(period):
+                surd_from_cfe(PeriodicCFE((), period))
+        monkeypatch.undo()
+        assert len(calls) > 10
+        _count_reads(monkeypatch)
+        for a, b, c, period, prefix in calls:
+            _CountedRoot.steps = 0
+            assert not cfe._certified(a, b, c, period, prefix)
+            assert 0 < _CountedRoot.steps <= prefix <= len(period) // 16
+
     def test_certificate(self):
         # (A, B, C) stands for the root of A*y^2 + B*y - C in (0, 1)
         assert cfe._certified(1, 1, 1, (1,))  # the golden ratio's (1)
@@ -734,7 +756,8 @@ class TestHalfCertificate:
     # the certificate walks the candidate's own cycle as cfe_periodic walks a
     # value, so a symmetric cycle takes about n/2 steps, forward to the first
     # centre and backward to the one before the start, and then compares the
-    # block the walk gives with the period
+    # block the walk gives with the period; these calls compare no prefix
+    # first, so the walk alone decides
 
     @staticmethod
     def _refused_after(monkeypatch, abc, period):
@@ -806,9 +829,9 @@ class TestHalfCertificate:
     @pytest.mark.usefixtures("reflect_from")
     def test_wrong_candidate_with_a_long_cycle_is_cut(self, monkeypatch):
         # the answer for the 30,330 quotients of sqrt(5720702249), checked
-        # against its first 300: the walk of the candidate's own cycle, about
-        # 50 times as long as n even when halved, is cut after n +
-        # _REFLECT_FROM, the bound an exit at the first wrong quotient gave
+        # against its first 300, which it starts with, so no prefix refuses
+        # it: the walk of the candidate's own cycle, about 50 times as long as
+        # n even when halved, is cut after n + _REFLECT_FROM
         period = _sqrt_period(5_720_702_249)
         abc, short = _exact_abc(period), period[:300]
         assert is_primitive(short)
@@ -819,7 +842,8 @@ class TestHalfCertificate:
     def test_small_candidates_match_the_full_walk(self):
         # every (a, b, c) in a box, on every primitive period of up to four
         # entries from 1 to 4: one-quotient cycles, cycles shorter than
-        # _REFLECT_FROM, starts that are not reduced, square discriminants
+        # _REFLECT_FROM, starts that are not reduced, square discriminants;
+        # a compared prefix never changes a verdict, it only refuses sooner
         periods = [p for k in range(1, 5) for p in itertools.product(range(1, 5), repeat=k) if is_primitive(p)]
         accepted = unreduced = square = 0
         for a, b, c in itertools.product(range(1, 7), range(-6, 13), range(1, 13)):
@@ -830,6 +854,7 @@ class TestHalfCertificate:
             for period in periods:
                 verdict = cfe._certified(a, b, c, period)
                 assert verdict == _full_walk_certified(a, b, c, period)
+                assert cfe._certified(a, b, c, period, len(period)) == verdict
                 accepted += verdict
         assert accepted > 50 and unreduced > 500 and square > 50
         assert any(len(p) < _REFLECT_FROM and cfe._certified(*_exact_abc(p), p) for p in periods)
@@ -848,7 +873,9 @@ class TestHalfCertificate:
                 for da, db, dc in itertools.product((-1, 0, 1), repeat=3):
                     if a + da > 0 and c + dc > 0:
                         abc = (a + da, b + db, c + dc)
-                        assert cfe._certified(*abc, other) == _full_walk_certified(*abc, other)
+                        verdict = cfe._certified(*abc, other)
+                        assert verdict == _full_walk_certified(*abc, other)
+                        assert cfe._certified(*abc, other, len(other) // 2) == verdict
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -977,6 +1004,23 @@ def reflect_from(request, monkeypatch):
     return request.param
 
 
+def _reads(period, reflect_from):
+    """Quotients _walk reads from a reduced start of (period), and the loop
+    that reads the last of them.  A symmetric cycle of n quotients takes
+    (n + k)/2 reduced steps, k the number of its two centres that sit on a
+    quotient, plus the steps it walks on past its first centre to reach
+    reflect_from; a cycle no longer than that, or with no centre, takes n."""
+    n, centres = len(period), _centres(period)
+    if n == 1 or not centres:
+        return n, "forward"
+    if n <= reflect_from:
+        return n, "tail"
+    first = centres[0] // 2 + 1  # steps to the first centre
+    back = (n + sum(c % 2 == 0 for c in centres)) // 2 - first
+    last = "backward" if back else "tail" if first < reflect_from else "forward"
+    return max(first, reflect_from) + back, last
+
+
 @pytest.mark.usefixtures("reflect_from")
 class TestHalfWalk:
     def test_sqrt_with_initial_blocks(self):
@@ -1046,10 +1090,6 @@ class TestHalfWalk:
         assert scaled > 300
 
     def test_half_the_steps(self, monkeypatch, reflect_from):
-        # a symmetric cycle of n quotients takes (n + k)/2 reduced steps, k the
-        # number of its two centres that sit on a quotient, plus the steps it
-        # walks on past its first centre to reach _REFLECT_FROM; a cycle no
-        # longer than that, or with no centre, takes n
         rng = random.Random(233)
         cases = []
         for _ in range(300):
@@ -1063,15 +1103,10 @@ class TestHalfWalk:
             _CountedRoot.steps = 0
             assert cfe_periodic(x).period == period
             centres = _centres(period)
-            n = len(period)
-            if n > reflect_from and n > 1 and centres:
+            if len(period) > reflect_from and len(period) > 1 and centres:
                 halved += 1
-                first = centres[0] // 2 + 1  # steps to the first centre
-                on_quotient = sum(c % 2 == 0 for c in centres)
                 assert len(centres) == 2
-                assert _CountedRoot.steps == (n + on_quotient) // 2 + max(0, reflect_from - first)
-            else:
-                assert _CountedRoot.steps == n
+            assert _CountedRoot.steps == _reads(period, reflect_from)[0]
         assert halved > 100
 
     def test_half_the_steps_at_period_1e5(self, monkeypatch):
@@ -1082,20 +1117,10 @@ class TestHalfWalk:
         assert cfe_periodic(x) == want
         assert len(want.period) == 100_582
         assert _CountedRoot.steps == 100_582 // 2 + 1
-
-
-def _reads(period, reflect_from):
-    """Quotients _walk reads from a reduced start of (period), and the loop
-    that reads the last of them, by the counts of test_half_the_steps."""
-    n, centres = len(period), _centres(period)
-    if n == 1 or not centres:
-        return n, "forward"
-    if n <= reflect_from:
-        return n, "tail"
-    first = centres[0] // 2 + 1  # steps to the first centre
-    back = (n + sum(c % 2 == 0 for c in centres)) // 2 - first
-    last = "backward" if back else "tail" if first < reflect_from else "forward"
-    return max(first, reflect_from) + back, last
+        # the walk reads exactly that many: limit 50,292 gives the expansion
+        state = cfe._reciprocal_state(x)
+        assert cfe._walk(*state, 100_582 // 2 + 1) == want
+        assert cfe._walk(*state, 100_582 // 2) is None
 
 
 def _count_reads(monkeypatch):
@@ -1139,14 +1164,6 @@ class TestWalkLimit:
             preperiods += bool(e.initial)
         assert loops == ({"forward", "tail", "backward"} if reflect_from > 1 else {"forward", "backward"})
         assert preperiods > 200
-
-    def test_limit_at_period_1e5(self):
-        # sqrt(89151474086): 100,582 quotients read in 50,292 steps
-        state = cfe._reciprocal_state(_sqrt_part(89151474086))
-        e = cfe._walk(*state)
-        assert len(e.period) == 100_582
-        assert cfe._walk(*state, 100_582 // 2 + 1) == e
-        assert cfe._walk(*state, 100_582 // 2) is None
 
 
 # ---------------------------------------------------------------------------
