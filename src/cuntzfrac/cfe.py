@@ -81,9 +81,6 @@ class PeriodicCFE(_Frozen):
     def __hash__(self) -> int:
         return hash((self.initial, self.period))
 
-    def __repr__(self) -> str:
-        return f"PeriodicCFE(initial={words._shown(self.initial)}, period={words._shown(self.period)})"
-
     def __str__(self) -> str:
         return format_block(self)
 

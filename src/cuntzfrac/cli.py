@@ -23,7 +23,6 @@ from .cfe import (
     surd_from_cfe,
 )
 from .cuntz import Cycle, classify_surd, is_nonperiodic
-from .equivalence import omega_class_label
 from .surds import (
     DomainError,
     NotIrrational,
@@ -103,8 +102,8 @@ def cmd_equiv(args) -> int:
     if args.left == args.right == "-":
         raise ParseError("only one of the two surds can be read from stdin")
     x, y = parse_surd(_literal(args.left)), parse_surd(_literal(args.right))
-    lx, ly = omega_class_label(x), omega_class_label(y)
-    eq = lx == ly  # equal labels are exactly modular equivalence
+    lx, ly = classify_surd(x).word, classify_surd(y).word
+    eq = lx == ly  # equal class words are exactly modular equivalence
     verdict = "equivalent" if eq else "inequivalent"
     payload = {"equivalent": eq, "label_left": list(lx), "label_right": list(ly)}
     lines = [verdict, f"label_left: {_word_text(lx)}", f"label_right: {_word_text(ly)}"]
@@ -211,7 +210,7 @@ def _corpus_expected(mode: str, text: str, out: str) -> str:
     w = out[2:-1]
     if len(t) == len(out) - 1 and t[0] == "(" and t[-1] == ")" and f",{t[1:-1]}," in f",{w},{w},":
         return out
-    return str(Cycle._of(words.canonical_rotation(parse_block(t).period)))
+    return str(Cycle._trusted(words.canonical_rotation(parse_block(t).period)))
 
 
 def _corpus_apply(mode: str, payload: str) -> str:

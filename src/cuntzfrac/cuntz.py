@@ -81,14 +81,11 @@ class Cycle(_Frozen):
         object.__setattr__(self, "word", canonical_cycle(word))
 
     @classmethod
-    def _of(cls, word: Word) -> "Cycle":
+    def _trusted(cls, word: Word) -> "Cycle":
         # for the least rotation of a checked, primitive period: skips the checks
         c = object.__new__(cls)
         object.__setattr__(c, "word", word)
         return c
-
-    def __repr__(self) -> str:
-        return f"Cycle(word={words._shown(self.word)})"
 
     def __str__(self) -> str:
         return "P(" + words._joined(self.word) + ")"
@@ -108,9 +105,6 @@ class Chain(_Frozen):
         object.__setattr__(self, "prefix", tuple(prefix))
         object.__setattr__(self, "continuation", continuation)
         _check_quotients(self.prefix, "prefix entries")
-
-    def __repr__(self) -> str:
-        return f"Chain(prefix={words._shown(self.prefix)}, continuation={self.continuation!r})"
 
     def __str__(self) -> str:
         head = words._joined(self.prefix)
@@ -134,7 +128,7 @@ def pj_equivalent(j: RepClass, k: RepClass) -> bool | None:
 
 def classify_surd(x: QuadraticSurd) -> Cycle:
     """Cycle class attached to a quadratic irrational through its repeating block."""
-    return Cycle._of(words.canonical_rotation(cfe_periodic(x).period))
+    return Cycle._trusted(words.canonical_rotation(cfe_periodic(x).period))
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +167,6 @@ class WordOperator(_Frozen):
         if self.zero:
             return self
         return WordOperator._trusted(self.right, self.left)
-
-    def __repr__(self) -> str:
-        return f"WordOperator(left={words._shown(self.left)}, right={words._shown(self.right)}, zero={self.zero})"
 
     def __str__(self) -> str:
         if self.zero:
@@ -283,10 +274,6 @@ class CheckEntry(_Frozen):
         _set_verdict(self, verdict)
         _set_residual(self, residual)
 
-    def __repr__(self) -> str:
-        return (f"CheckEntry(check={self.check!r}, instance={self.instance!r}, "
-                f"verdict={self.verdict!r}, residual={self.residual!r})")
-
 
 _set_check, _set_instance, _set_verdict, _set_residual = CheckEntry._setters()
 
@@ -364,23 +351,24 @@ def orbit_decompose(space) -> dict[Cycle, frozenset[PeriodicCFE]]:
     buckets: dict[Word, set[PeriodicCFE]] = {}
     for w in space:
         buckets.setdefault(words.canonical_rotation(w.period), set()).add(w)
-    return {Cycle._of(k): frozenset(v) for k, v in buckets.items()}
+    return {Cycle._trusted(k): frozenset(v) for k, v in buckets.items()}
 
 
 def gp_vector_check(j: Word, depth: int = 8) -> list[CheckEntry]:
     """Verify the cyclic fixed vector of a primitive word symbolically.
 
-    The purely periodic label v = j^infinity must be fixed by s_J^depth
-    (depth at least 1), applied once as the single operator s_(J^depth), and
-    the labels reached by prepending the suffixes of j must be pairwise
-    distinct basis labels.
+    The purely periodic label v = j^infinity must be fixed by s_J, and the
+    labels reached by prepending the suffixes of j must be pairwise distinct
+    basis labels.  v is fixed by s_J^depth exactly when it is fixed by s_J,
+    so one action of s_J decides the first check: every `depth` gives the
+    same verdict.
     """
     j = _primitive(j)
     name = words._joined(j)
     v = PeriodicCFE._trusted((), j)
     entries = []
 
-    w = apply_word_op(WordOperator._trusted(j * max(1, depth), ()), v)
+    w = apply_word_op(WordOperator._trusted(j, ()), v)
     entries.append(
         CheckEntry("gp-fixed-point", f"J=({name})", "pass" if w == v else "fail")
     )

@@ -332,7 +332,8 @@ def squarefree_split(n: int) -> tuple[int, int]:
 class _Frozen:
     """Base of the immutable value types: the fields are the slots, set once
     through their descriptors; == and hash go over the fields of two values of
-    one class, and pickle and copy rebuild through the public constructor."""
+    one class, pickle and copy rebuild through the public constructor, and
+    repr is the class called with its public fields, at any size."""
 
     __slots__ = ()
 
@@ -362,6 +363,10 @@ class _Frozen:
 
     def __hash__(self) -> int:
         return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__match_args__)
+        return f"{self.__class__.__name__}({fields})"
 
 
 class QuadraticSurd(_Frozen):
@@ -420,10 +425,6 @@ class QuadraticSurd(_Frozen):
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def __repr__(self) -> str:
-        a, b, c, d = map(_digits, self._view())
-        return f"QuadraticSurd(a={a}, b={b}, c={c}, d={d})"
-
     def __str__(self) -> str:
         return format_surd(self)
 
@@ -443,10 +444,6 @@ class UnimodularMatrix(_Frozen):
             object.__setattr__(self, name, m)
         if self.det not in (1, -1):
             raise ValueError(f"determinant must be +1 or -1, got {_digits(self.det)}")
-
-    def __repr__(self) -> str:
-        m11, m12, m21, m22 = map(_digits, (self.m11, self.m12, self.m21, self.m22))
-        return f"UnimodularMatrix(m11={m11}, m12={m12}, m21={m21}, m22={m22})"
 
     @property
     def det(self) -> int:

@@ -16,7 +16,6 @@ from cuntzfrac import (
     PeriodicCFE,
     cfe_periodic,
     classify_surd,
-    equivalence,
     families,
     format_block,
     in_omega,
@@ -134,7 +133,7 @@ class TestSolve:
         def refuse(x):
             raise AssertionError("solve re-expanded its own answer")
 
-        monkeypatch.setattr("cuntzfrac.equivalence.cfe_periodic", refuse)
+        monkeypatch.setattr("cuntzfrac.cuntz.cfe_periodic", refuse)
         monkeypatch.setattr("cuntzfrac.cli.cfe_periodic", refuse)
         got = [run(capsys, "solve", "2,1,(3,1,4)", "--format", f) for f in ("text", "json")]
         assert got == want
@@ -208,8 +207,8 @@ class TestEquiv:
 
     def test_expands_each_side_once(self, capsys, monkeypatch):
         calls = []
-        expand = equivalence.cfe_periodic
-        monkeypatch.setattr(equivalence, "cfe_periodic", lambda x: calls.append(x) or expand(x))
+        expand = cfe_periodic
+        monkeypatch.setattr("cuntzfrac.cuntz.cfe_periodic", lambda x: calls.append(x) or expand(x))
         code, _, _ = run(capsys, "equiv", GOLDEN, "(3-1*sqrt(5))/2")
         assert code == 0
         assert len(calls) == 2

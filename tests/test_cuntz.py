@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -338,7 +339,7 @@ VALUE_TYPES = [
      ((1,), (2, 3)), "PeriodicCFE(initial=(1,), period=(2, 3))"),
     (UnimodularMatrix(2, 1, 1, 1), UnimodularMatrix(1, 1, 0, 1) @ UnimodularMatrix(1, 0, 1, 1),
      ("m11", "m12", "m21", "m22"), (2, 1, 1, 1), "UnimodularMatrix(m11=2, m12=1, m21=1, m22=1)"),
-    (Cycle((2, 1)), Cycle._of((1, 2)), ("word",), ((1, 2),), "Cycle(word=(1, 2))"),
+    (Cycle((2, 1)), Cycle._trusted((1, 2)), ("word",), ((1, 2),), "Cycle(word=(1, 2))"),
     (Chain((1,)), Chain([1], continuation="?"), ("prefix", "continuation"), ((1,), "?"),
      "Chain(prefix=(1,), continuation='?')"),
     (WordOperator(), WordOperator._trusted((), ()), ("left", "right", "zero"), ((), (), False),
@@ -635,7 +636,7 @@ class TestGPVector:
 
     @pytest.mark.parametrize("depth", [-1, 0, 1, 8, 20])
     def test_one_action_for_the_fixed_point(self, monkeypatch, depth):
-        # s_J^depth is one operator applied once, then one action per suffix
+        # s_J is applied once, whatever the depth, then one action per suffix
         calls = []
         real = cuntz.apply_word_op
 
@@ -647,15 +648,21 @@ class TestGPVector:
         j = (1, 2, 3)
         assert [e.verdict for e in gp_vector_check(j, depth)] == ["pass", "pass"]
         assert len(calls) == 1 + len(j)
-        assert calls[0].left == j * max(1, depth) and calls[0].right == ()
+        assert calls[0].left == j and calls[0].right == ()
 
     def test_moved_fixed_point_fails(self, monkeypatch):
         j = (1, 2, 3)
         real = cuntz.apply_word_op
+        moved = []
 
         def rotate(u, w):
-            # s_J^8 sends v to a rotation of v instead of v
-            return PeriodicCFE((), j[1:] + j[:1]) if u.left == j * 8 else real(u, w)
+            # the fixed-point check's s_J, the first action, sends v to a
+            # rotation of v instead of v; the suffix actions after it, the
+            # first of which is s_J again, act as they should
+            if u.left == j and not moved:
+                moved.append(u)
+                return PeriodicCFE((), j[1:] + j[:1])
+            return real(u, w)
 
         monkeypatch.setattr(cuntz, "apply_word_op", rotate)
         assert [e.verdict for e in gp_vector_check(j, 8)] == ["fail", "pass"]
@@ -676,6 +683,16 @@ class TestGPVector:
             calls.clear()
             assert [e.verdict for e in gp_vector_check(j)] == ["pass", "pass"]
             assert calls == [n]
+
+    def test_fixed_point_memory_does_not_grow_with_depth(self):
+        # one s_J action, not s_(J^depth): that tuple alone is 22.9 MiB at depth 10**6
+        tracemalloc.start()
+        try:
+            assert [e.verdict for e in gp_vector_check((1, 2, 3), 10**6)] == ["pass", "pass"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_long_word_through_the_word_action(self, monkeypatch):
         # s_J and each s_{J[start:]} act through apply_word_op, one fold each

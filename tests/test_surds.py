@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import raised, random_surd, random_unimodular, unlimited
 from cuntzfrac import (
     Chain,
+    CheckEntry,
     Cycle,
     NotIrrational,
     ParseError,
@@ -1105,6 +1106,13 @@ class TestHugeCoefficients:
             assert repr(Cycle((n, 1))) == f"Cycle(word=(1, {t}))"
             assert repr(WordOperator((n,), (2,))) == f"WordOperator(left=({t},), right=(2,), zero=False)"
             assert repr(Chain((n,))) == f"Chain(prefix=({t},), continuation='?')"
+            assert repr(CheckEntry("c", "i", "fail", n)) == f"CheckEntry(check='c', instance='i', verdict='fail', residual={t})"
             assert raised(PeriodicCFE, (), (n, n)) == (ValueError, f"period ({t}, {t}) is not primitive")
             assert raised(UnimodularMatrix, n, 1, 1, 1) == (ValueError, f"determinant must be +1 or -1, got {t1}")
         assert sys.get_int_max_str_digits() == limit
+        # the texts above all come from the base's one repr: no value type writes its own
+        classes = [surds._Frozen]
+        for cls in classes:
+            classes += cls.__subclasses__()
+        ours = [cls for cls in classes[1:] if cls.__module__.startswith("cuntzfrac.")]
+        assert len(ours) >= 7 and not [cls for cls in ours if "__repr__" in vars(cls)]
