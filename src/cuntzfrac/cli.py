@@ -1,17 +1,24 @@
 """Command line front end: expansion, inverse construction, equivalence,
 classification, a closed-form verification sweep, and a corpus runner.
 
+The seven commands are one table, _COMMANDS.  A plain command line (exact
+option names, each once, values and positionals not starting with "-") is
+read straight from it; help, abbreviations, --opt=value, -- and usage errors
+go to an argparse tree built from the same table, so a one-shot command that
+needs none of these never imports argparse.
+
 Exit codes: 0 success or equivalent, 1 assertion failure or inequivalent,
-2 parse or usage error, or a corpus file that cannot be read or written,
-3 domain error (rational input or value outside (0, 1)).
+2 parse or usage error, a corpus file that cannot be read or written, or
+standard output closed by its reader, 3 domain error (rational input or
+value outside (0, 1)).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import sys
+from types import SimpleNamespace
 
 from . import families, words
 from .cfe import (
@@ -283,12 +290,97 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if counts["fail"] == 0 and counts["error"] == 0 else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The seven commands, read by both the plain reader (_plain) and argparse
+# (build_parser): name -> (handler, help, positionals, options, one_of).  A
+# positional is (name, kind, help) and an option (name, kind, default, help,
+# metavar); a kind is str, int, _FLAG (an option without a value) or a tuple
+# of choices.  _SHARED options are on every command, and one_of asks for
+# exactly one of the command's own options
+_FLAG = bool
+_SHARED = (
+    ("--format", ("text", "json"), "text", "output format (default: text)", None),
+    ("--approx", int, None, "also print a decimal approximation, truncated toward -inf", "DIGITS"),
+)
+_COMMANDS = {
+    "expand": (cmd_expand, "partial quotients of a surd in (0, 1)",
+               (("surd", str, "surd literal, e.g. \"(-1+1*sqrt(5))/2\", or - for stdin"),),
+               (("--terms", int, None, "first N quotients", "N"),
+                ("--periodic", _FLAG, False, "canonical initial block and period", None)), True),
+    "solve": (cmd_solve, "surd in (0, 1) whose expansion is a given block",
+              (("block", str, "block literal, e.g. \"(1,2,3)\" or \"2,1,(3)\", or - for stdin"),), (), False),
+    "equiv": (cmd_equiv, "decide modular equivalence of two surds",
+              (("left", str, None), ("right", str, None)), (), False),
+    "classify": (cmd_classify, "cycle class P(...) of a surd in (0, 1)", (("surd", str, None),), (), False),
+    "tau": (cmd_tau, "apply the Gauss map once", (("surd", str, None),), (), False),
+    "verify-examples": (cmd_verify_examples, "sweep the closed-form block families and check classes",
+                        (), (), False),
+    "corpus": (cmd_corpus, "run expand/solve/classify over a line-oriented file",
+               (("path", str, None), ("mode", ("expand", "solve", "classify"), None)),
+               (("--out", str, None, "results JSON path (default: <path>.results.json)", None),), False),
+}
+
+
+def _value(kind, token: str):
+    # the value argparse stores for `token`, or None where argparse refuses it
+    if kind is int:
+        try:
+            return int(token)
+        except ValueError:
+            return None
+    return token if kind is str or token in kind else None
+
+
+def _plain(argv):
+    """The namespace argparse builds from `argv`, or None unless argv is a
+    command name, then its positionals (not starting with "-", or "-") and
+    exact option names, each once and followed by an accepted value that
+    does not start with "-"."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    func, _, positionals, options, one_of = entry
+    kinds = {opt[0]: opt[1] for opt in _SHARED + options}
+    given: dict = {}
+    tokens = []
+    rest = iter(argv[1:])
+    for token in rest:
+        if not token.startswith("-") or token == "-":
+            tokens.append(token)
+        elif token not in kinds or token in given:
+            return None
+        elif kinds[token] is _FLAG:
+            given[token] = True
+        else:
+            value = next(rest, "-")  # a missing value reads as a refused one
+            given[token] = None if value.startswith("-") else _value(kinds[token], value)
+            if given[token] is None:
+                return None
+    if len(tokens) != len(positionals) or one_of and sum(opt[0] in given for opt in options) != 1:
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for (name, kind, _), token in zip(positionals, tokens):
+        if _value(kind, token) is None:
+            return None
+        setattr(args, name, token)
+    for name, _, default, _, _ in _SHARED + options:
+        setattr(args, name[2:], given.get(name, default))
+    return args
+
+
+def build_parser():
+    """The argparse tree of the commands in _COMMANDS."""
+    import argparse  # only help, abbreviations and usage errors need it
+
+    def add(target, name, kind, default, text, metavar):
+        if kind is _FLAG:
+            target.add_argument(name, action="store_true", default=default, help=text)
+        else:
+            target.add_argument(name, type=int if kind is int else None, default=default, help=text,
+                                metavar=metavar, choices=None if kind in (str, int) else kind)
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
-    common.add_argument("--approx", type=int, metavar="DIGITS", default=None,
-                        help="also print a decimal approximation, truncated toward -inf")
+    for option in _SHARED:
+        add(common, *option)
 
     parser = argparse.ArgumentParser(
         prog="cuntzfrac",
@@ -296,47 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "the cycle classes they classify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", parents=[common],
-                       help="partial quotients of a surd in (0, 1)")
-    p.add_argument("surd", help="surd literal, e.g. \"(-1+1*sqrt(5))/2\", or - for stdin")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--terms", type=int, metavar="N", help="first N quotients")
-    group.add_argument("--periodic", action="store_true",
-                       help="canonical initial block and period")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("solve", parents=[common],
-                       help="surd in (0, 1) whose expansion is a given block")
-    p.add_argument("block", help="block literal, e.g. \"(1,2,3)\" or \"2,1,(3)\", or - for stdin")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("equiv", parents=[common],
-                       help="decide modular equivalence of two surds")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="cycle class P(...) of a surd in (0, 1)")
-    p.add_argument("surd")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("tau", parents=[common], help="apply the Gauss map once")
-    p.add_argument("surd")
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser("verify-examples", parents=[common],
-                       help="sweep the closed-form block families and check classes")
-    p.set_defaults(func=cmd_verify_examples)
-
-    p = sub.add_parser("corpus", parents=[common],
-                       help="run expand/solve/classify over a line-oriented file")
-    p.add_argument("path")
-    p.add_argument("mode", choices=("expand", "solve", "classify"))
-    p.add_argument("--out", default=None, help="results JSON path (default: <path>.results.json)")
-    p.set_defaults(func=cmd_corpus)
-
+    for command, (func, text, positionals, options, one_of) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=text)
+        for name, kind, about in positionals:
+            p.add_argument(name, help=about, choices=None if kind is str else kind)
+        group = p.add_mutually_exclusive_group(required=True) if one_of else p
+        for option in options:
+            add(group, *option)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -352,7 +411,7 @@ def main(argv=None) -> int:
     if saved:
         sys.set_int_max_str_digits(0)
     try:
-        args = _parser().parse_args(argv)
+        args = _plain(sys.argv[1:] if argv is None else argv) or _parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -370,7 +429,19 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        try:
+            code = main()
+        finally:  # argparse's help exits with SystemExit, and its text is unflushed too
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone (e.g. `| head`); point stdout at
+        # devnull, so the flush at exit cannot fail again, and report it
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_PARSE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -561,6 +561,107 @@ class TestParserExits:
         assert exc.value.code == 2
 
 
+class TestPlainReader:
+    """cli._plain, the reader of plain command lines, against argparse: for
+    every argv it declines, or it builds the namespace argparse builds."""
+
+    VALUES = ["text", "json", "xml", "5", " 5", "-5", "x", "-", "", GOLDEN, "(1,2,3)", "solve", "classify"]
+
+    def _argv(self, rng, commands):
+        name = rng.choice([*commands, "bogus"])
+        sub = commands.get(name, commands["classify"])
+
+        def value(action):
+            # a listed choice half the time, so that many argv are accepted
+            return rng.choice(action.choices if action.choices and rng.random() < 0.5 else self.VALUES)
+
+        units = [[value(a)] for a in sub._actions if not a.option_strings]
+        for action in sub._actions:
+            for option in action.option_strings:
+                if rng.random() < 0.5 or option in ("-h", "--help") and rng.random() < 0.8:
+                    continue
+                form = rng.choice(["exact", "exact", "exact", "abbreviated", "joined"])
+                if form == "abbreviated" and option.startswith("--"):
+                    option = option[:rng.randrange(3, len(option))]
+                token = value(action)
+                if form == "joined":
+                    units.append([f"{option}={token}"])
+                else:
+                    units.append([option] if action.nargs == 0 else [option, token])
+        if units and rng.random() < 0.2:
+            units.append(list(rng.choice(units)))  # a repeat, or an extra positional
+        if units and rng.random() < 0.2:
+            rng.choice(units).pop()  # a missing positional, option or value
+        rng.shuffle(units)
+        if rng.random() < 0.1:
+            units.insert(rng.randrange(len(units) + 1), ["--"])
+        return [name, *itertools.chain.from_iterable(units)]
+
+    def test_declines_or_agrees_with_argparse(self, capsys):
+        parser = cli.build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert set(commands) == set(cli._COMMANDS)
+        rng = random.Random(25)
+        agreed = declined = 0
+        for _ in range(3000):
+            argv = self._argv(rng, commands)
+            got = cli._plain(argv)
+            try:
+                want = parser.parse_args(argv)
+            except SystemExit:
+                assert got is None, argv
+                continue
+            finally:
+                capsys.readouterr()
+            if got is None:
+                declined += 1
+            else:
+                assert vars(got) == vars(want), argv
+                agreed += 1
+        # both outcomes are common, so neither check above is vacuous
+        assert agreed > 300 and declined > 100, (agreed, declined)
+
+
+class TestClosedStdout:
+    """A reader of stdout that has gone is an output error, exit 2 with one
+    line on stderr, not a traceback or an exit code of the interpreter's."""
+
+    def _env(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuntzfrac.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)  # so a short answer waits for the flush
+        return env
+
+    @pytest.mark.parametrize("argv", [("classify", GOLDEN), ("classify", "-h")])
+    def test_pipe_closed_before_the_answer(self, argv):
+        # the answer is still buffered when the command returns (or argparse
+        # exits after help), so the broken pipe shows at the flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "cuntzfrac.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=60, env=self._env())
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"cannot write output: ") and done.stderr.count(b"\n") == 1
+
+    def test_reader_leaves_mid_answer(self):
+        # `expand ... --terms 200000 | head -c 10`: 400 kB is more than a pipe
+        # holds, so the command is still writing when the reader leaves
+        proc = subprocess.Popen([sys.executable, "-m", "cuntzfrac.cli", "expand", GOLDEN, "--terms", "200000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._env())
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        finally:
+            proc.stdout.close()
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert (head, code) == (b"1,1,1,1,1,", 2)
+        assert err.startswith(b"cannot write output: ") and err.count(b"\n") == 1
+
+
 class TestRepeatedCalls:
     """One process reuses one argument parser; each call must still answer
     as a fresh process does."""
@@ -577,6 +678,13 @@ class TestRepeatedCalls:
         ("classify", "not-a-surd"),
         ("tau", "(1+1*sqrt(5))/2"),
         ("solve", "(2)"),
+        # argv that only argparse reads: =-joined, abbreviated, after --, a
+        # usage error and help
+        ("expand", "(-4+1*sqrt(37))/3", "--terms=5"),
+        ("expand", "(-1+1*sqrt(3))/1", "--per"),
+        ("classify", "--", "(-1+1*sqrt(3))/1"),
+        ("classify", GOLDEN, "--format", "xml"),
+        ("tau", "-h"),
     ]
 
     def _in_process(self, capsys, argv):
@@ -587,7 +695,9 @@ class TestRepeatedCalls:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def test_same_answers_as_fresh_processes(self, capsys):
+    def test_same_answers_as_fresh_processes(self, capsys, monkeypatch):
+        # help is wrapped to $COLUMNS, or to the terminal's width where unset
+        monkeypatch.setenv("COLUMNS", "80")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuntzfrac.__file__)))
         fresh = []
         for argv in self.ARGVS:
@@ -597,6 +707,10 @@ class TestRepeatedCalls:
             )
             fresh.append((done.returncode, done.stdout, done.stderr))
         assert fresh[2][0] == 2 and "required" in fresh[2][2]
+        assert {cli._plain(list(argv)) is None for argv in self.ARGVS} == {True, False}
+        # the first round builds the parser at its first argparse argv, the
+        # second reuses it
+        cli._parser.cache_clear()
         for _ in range(2):
             got = [self._in_process(capsys, argv) for argv in self.ARGVS]
             assert got == fresh

@@ -317,25 +317,35 @@ class TestGcdCertificate:
         # decimal is loaded by the first split that reaches a window, random
         # by the first Pollard-Brent run and json by the first JSON output,
         # and dataclasses only on an attempt to change a value, so neither
-        # start-up nor a small classify pays for their imports.  -S keeps
-        # site, which may import random itself, out of the child
+        # start-up nor a small classify pays for their imports; argparse
+        # (with gettext, locale and shutil) loads only for help, which still
+        # works.  -S keeps site, which may import random itself, out of the
+        # child
         code = "\n".join([
             "import sys",
             "import cuntzfrac.surds as s",
             "assert s._segment_product.cache_info().currsize == 0",
             "import cuntzfrac.cli as cli",
             "assert cli.main(['classify', '(-1+1*sqrt(5))/2']) == 0",
-            "lazy = [m for m in ('dataclasses', 'inspect', 'random', 'json', 'decimal') if m in sys.modules]",
+            "lazy = [m for m in ('dataclasses', 'inspect', 'random', 'json', 'decimal',",
+            "                    'argparse', 'gettext', 'locale', 'shutil') if m in sys.modules]",
             "assert not lazy, lazy",
             "assert cli.main(['classify', '--format', 'json', '(-1+1*sqrt(5))/2']) == 0",
-            "assert 'json' in sys.modules and 'decimal' not in sys.modules",
+            "assert 'json' in sys.modules and 'decimal' not in sys.modules and 'argparse' not in sys.modules",
             "s.squarefree_split(1009**3)",
             "assert 'decimal' in sys.modules",
+            "try:",
+            "    cli.main(['classify', '-h'])",
+            "except SystemExit as exc:",
+            "    assert exc.code == 0 and 'argparse' in sys.modules",
+            "else:",
+            "    raise AssertionError('-h returned')",
         ])
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surds.__file__)))
         done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=60, env=env)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == b'P(1)\n{"class": "P(1)", "word": [1]}\n'
+        answers = b'P(1)\n{"class": "P(1)", "word": [1]}\n'
+        assert done.stdout.startswith(answers + b"usage: cuntzfrac classify [-h]"), done.stdout
 
     def test_decimal_reduction_against_int_loop(self, primes_below_10_6):
         # the int loop of the table it replaced is the oracle: every step of
