@@ -112,11 +112,18 @@ def cfe_expand(x: QuadraticSurd, n: int) -> Word:
 
 def _expand(p: int, q: int, q_prev: int, d: int, n: int) -> Word:
     # the first n quotients of (P + sqrt(D))/Q, Q_prev * Q = D - P*P, D no
-    # square, from any state: no test for a reduced one
+    # square, from any state.  As in _walk, every state after the first
+    # reduced one is reduced, with q > 0, and the step is inline
     sd = math.isqrt(d)
     out = []
-    for _ in range(n):
+    while len(out) < n and not (0 < p <= sd and sd - p < q <= sd + p):
         a = _floor_pq(p, q, sd)
+        out.append(a)
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        p = p_next
+    for _ in range(n - len(out)):
+        a = (p + sd) // q
         out.append(a)
         p_next = a * q - p
         q, q_prev = q_prev + a * (p - p_next), q

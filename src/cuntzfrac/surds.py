@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from functools import lru_cache
 
 from .words import _digits, _number, _shown
@@ -584,9 +583,6 @@ def field_discriminant(x: QuadraticSurd) -> int:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
-_SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/([+-]?\d+)$")
-
-
 def _surd_text(a: int, b: int, c: int, d: int) -> str:
     return f"({_digits(a)}{'+' * (b >= 0)}{_digits(b)}*sqrt({_digits(d)}))/{_digits(c)}"
 
@@ -595,13 +591,37 @@ def format_surd(x: QuadraticSurd) -> str:
     return _surd_text(*x._view())
 
 
+def _signed_run(t: str) -> bool:
+    # an optional sign and decimal digits: what int() reads once whitespace
+    # and underscores are ruled out
+    return (t[1:] if t[:1] in ("+", "-") else t).isdecimal()
+
+
 def parse_surd(text: str) -> QuadraticSurd:
-    """Parse `(<a>+<b>*sqrt(<d>))/<c>`, e.g. `(-1+1*sqrt(5))/2`."""
-    m = _SURD_RE.match("".join(text.split()))
-    if not m:
+    """Parse `(<a>+<b>*sqrt(<d>))/<c>`, e.g. `(-1+1*sqrt(5))/2`.
+
+    Whitespace is dropped.  The first "*sqrt(" and "))/" split the literal,
+    and b starts at the last sign before "*sqrt(".  int() checks and reads
+    each field, as with no whitespace or "_" it takes exactly a signed digit
+    run; with no regex, start-up never imports re.
+    """
+    t = "".join(text.split())
+    head, _, rest = t.partition("*sqrt(")
+    d, _, c = rest.partition("))/")
+    i = max(head.rfind("+"), head.rfind("-"))
+    a, b = head[1:i], head[i:]
+    fields = None
+    # d[:1] is "" for an empty d, which is refused with a signed one
+    if i >= 2 and head[0] == "(" and "_" not in t and d[:1] not in "+-":
+        try:
+            fields = int(a), int(b), int(c), int(d)
+        except ValueError:
+            # past the digit limit int() refuses a valid run too
+            if all(map(_signed_run, (a, b, c, d))):
+                fields = tuple(map(_number, (a, b, c, d)))
+    if fields is None:
         raise ParseError(f"not a surd literal: {text!r}")
-    a, b, d, c = map(_number, m.groups())
-    return normalize(a, b, c, d)
+    return normalize(*fields)
 
 
 def surd_to_json(x: QuadraticSurd) -> dict[str, str]:
@@ -619,7 +639,7 @@ def _json_int(v) -> int:
     except ValueError:
         # past the digit limit: int() reads a signed digit run inside whitespace
         t = v.strip()
-        if not (t[1:] if t[:1] in ("+", "-") else t).isdecimal():
+        if not _signed_run(t):
             raise
         return _number(t)
 

@@ -79,6 +79,54 @@ class TestExpand:
             assert cfe_expand(x, 12) == long[:12]
             assert all(a >= 1 for a in long)
 
+    @staticmethod
+    def _stepwise(p, q, q_prev, d, n):
+        # the oracle: one call of the exact floor per quotient, from any state
+        sd = math.isqrt(d)
+        out = []
+        for _ in range(n):
+            a = _floor_pq(p, q, sd)
+            out.append(a)
+            p_next = a * q - p
+            q, q_prev = q_prev + a * (p - p_next), q
+            p = p_next
+        return tuple(out)
+
+    def test_long_initial_blocks_against_the_stepwise_oracle(self):
+        # _expand drops the floor's q < 0 case from the first reduced state
+        # on: every cut around that state
+        rng = random.Random(113)
+        for m in (1, 2, 16, 50, 400):
+            for _ in range(6):
+                initial = tuple(rng.randint(1, 9) for _ in range(m - 1)) + (rng.randint(10, 99),)
+                e = PeriodicCFE(initial, tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5))))
+                state = cfe._reciprocal_state(fresh(surd_from_cfe(e)))
+                for n in (1, m - 1, m, m + 1, m + 64):
+                    if n >= 1:
+                        assert cfe._expand(*state, n) == self._stepwise(*state, n) == block_prefix(e, n)
+
+    def test_states_against_the_stepwise_oracle(self):
+        # requests of two-prime radicands, in (0, 1), and states of any sign:
+        # P, Q and Q_prev with Q_prev * Q = D - P*P, D no square.  A small
+        # Q < 0 often divides P + isqrt(D), where (P + isqrt(D)) // Q is not
+        # the floor: the q > 0 loop must not start before the first reduced state
+        rng = random.Random(64)
+        for _ in range(300):
+            d = rng.randrange(10**6, 10**9) * rng.randrange(10**3, 10**6)
+            if math.isqrt(d) ** 2 == d:
+                continue
+            sd = math.isqrt(d)
+            x = normalize(-rng.randint(0, sd), 1, rng.randint(sd + 1, 4 * sd), d)
+            if in_omega(x):
+                state = cfe._reciprocal_state(x)
+                assert cfe._expand(*state, 64) == self._stepwise(*state, 64)
+            q = rng.choice((1, -1)) * rng.randint(1, rng.choice((30, 10**4)))
+            p = rng.randint(-10**5, 10**5)
+            q_prev = rng.choice((1, -1)) * rng.randint(1, 10**6)
+            if p * p + q * q_prev > 0 and math.isqrt(p * p + q * q_prev) ** 2 != p * p + q * q_prev:
+                state = p, q, q_prev, p * p + q * q_prev
+                assert cfe._expand(*state, 64) == self._stepwise(*state, 64)
+
 
 class TestPeriodic:
     def test_golden(self):

@@ -319,16 +319,17 @@ class TestGcdCertificate:
         # and dataclasses only on an attempt to change a value, so neither
         # start-up nor a small classify pays for their imports; argparse
         # (with gettext, locale and shutil) loads only for help, which still
-        # works.  -S keeps site, which may import random itself, out of the
-        # child
+        # works.  re (with enum) loads only through json: the surd grammar is
+        # read by str methods.  -S keeps site, which may import random
+        # itself, out of the child
         code = "\n".join([
             "import sys",
             "import cuntzfrac.surds as s",
             "assert s._segment_product.cache_info().currsize == 0",
             "import cuntzfrac.cli as cli",
             "assert cli.main(['classify', '(-1+1*sqrt(5))/2']) == 0",
-            "lazy = [m for m in ('dataclasses', 'inspect', 'random', 'json', 'decimal',",
-            "                    'argparse', 'gettext', 'locale', 'shutil') if m in sys.modules]",
+            "lazy = [m for m in ('dataclasses', 'inspect', 'random', 'json', 'decimal', 'argparse',",
+            "                    'gettext', 'locale', 'shutil', 're', 'enum') if m in sys.modules]",
             "assert not lazy, lazy",
             "assert cli.main(['classify', '--format', 'json', '(-1+1*sqrt(5))/2']) == 0",
             "assert 'json' in sys.modules and 'decimal' not in sys.modules and 'argparse' not in sys.modules",
@@ -883,6 +884,28 @@ class TestOrdering:
             self._check_against_oracle(y)
 
 
+# the surd grammar as the regex that parse_surd once matched: the tests' oracle
+_SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/([+-]?\d+)$")
+
+
+def _regex_parse_surd(text):
+    m = _SURD_RE.match(re.sub(r"\s+", "", text))
+    if not m:
+        raise ParseError(f"not a surd literal: {text!r}")
+    a, b, d, c = map(int, m.groups())
+    return normalize(a, b, c, d)
+
+
+def _surd_outcome(parse, text):
+    # the stored fields, not the value: a failed compare prints them, where a
+    # value's repr would factor its radicand with no bound
+    try:
+        x = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return x._a, x._b, x._c, x._d
+
+
 class TestTextForms:
     def test_format_example(self):
         assert format_surd(normalize(-1, 1, 2, 5)) == "(-1+1*sqrt(5))/2"
@@ -899,23 +922,59 @@ class TestTextForms:
 
     @pytest.mark.parametrize("space", ["\t", "\n", "\x1c", "\xa0", "\u3000", " "])
     def test_whitespace_as_the_regex_strips_it(self, space):
-        def regex_parse(text):
-            m = surds._SURD_RE.match(re.sub(r"\s+", "", text))
-            if not m:
-                raise ParseError(f"not a surd literal: {text!r}")
-            a, b, d, c = (int(g) for g in m.groups())
-            return normalize(a, b, c, d)
-
-        def outcome(parse, text):
-            try:
-                return parse(text)
-            except ValueError as exc:
-                return f"{type(exc).__name__}: {exc}"
-
         for literal in ("(-1+1*sqrt(5))/2", "(3-2*sqrt(12))/-4", "(1+0*sqrt(5))/2", "(1+1*sqrt5)/2"):
             for at in range(len(literal) + 1):
                 for text in (literal[:at] + space + literal[at:], literal[:at] + space * 3 + literal[at:]):
-                    assert outcome(parse_surd, text) == outcome(regex_parse, text), text
+                    assert _surd_outcome(parse_surd, text) == _surd_outcome(_regex_parse_surd, text), text
+
+    def test_fuzz_against_the_regex_parser(self):
+        # whole outcomes, the value's fields or the exception's type and text, over
+        # literals built from fields with signs in every place, doubled
+        # signs, empty fields, non-ASCII digits, zero and signed-zero
+        # denominators and radicands, then mutated with the noise below
+        rng = random.Random(26)
+        good = ["0", "-0", "+0", "1", "-1", "+1", "5", "-3", "+12", "007", "4", "٣", "𝟗", "９", "-２"]
+        bad = ["", "²", "1_0", "0x1", "1e5", "+-1", "-+2", "--3", "++4", "-", "+", "12-3", "1+2", "1)"]
+
+        def field():
+            return rng.choice(good if rng.random() < 0.85 else bad)
+
+        noise = list("0123456789()+-*/_") + ["sqrt(", "))/", "*sqrt(", ")", " ", "\t", "\n", "\x1c",
+                                             "\xa0", "\u3000", "٣", "𝟗", "²", "0x", "e5"]
+        kinds = dict.fromkeys(["value", "ParseError", "NotIrrational", "ZeroDenominator"], 0)
+        for _ in range(40_000):
+            a, c = field(), field()
+            d = field().lstrip("+-") if rng.random() < 0.8 else field()
+            b = rng.choice(("+", "-", "+", "-", "", "+-", "--")) + field().lstrip("+-")
+            text = f"({a}{b}*sqrt({d}))/{c}"
+            if rng.random() < 0.4:
+                chars = list(text)
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    at = rng.randint(0, len(chars))
+                    op = rng.randrange(3)
+                    if op == 0:
+                        chars.insert(at, rng.choice(noise))
+                    elif chars and op == 1:
+                        del chars[min(at, len(chars) - 1)]
+                    elif chars:
+                        chars[min(at, len(chars) - 1)] = rng.choice(noise)
+                text = "".join(chars)
+            want = _surd_outcome(_regex_parse_surd, text)
+            assert _surd_outcome(parse_surd, text) == want, text
+            kinds["value" if isinstance(want, tuple) else want.split(":")[0]] += 1
+        assert min(kinds.values()) > 1000, kinds
+
+    def test_fields_past_the_limit_against_the_regex_parser(self, limit):
+        # valid and invalid fields longer than the limit, in every place: the
+        # outcome under the limit is the regex parser's with the limit lifted
+        big = "1" + "0" * limit + "7"
+        variants = [big, "-" + big, "+" + big, "0" * limit + "3", "٣" * (limit + 1), "𝟗" * (limit + 1),
+                    big + "x", big + "²", big[:9] + "_" + big[9:], "--" + big, "+-" + big, big + "-1",
+                    big[:limit] + " " + big[limit:], "1" * (limit + 1), "0" * (limit + 1), "-" + "0" * (limit + 1)]
+        for v in variants:
+            for text in (f"({v}+1*sqrt(5))/2", f"(1+{v}*sqrt(5))/2", f"(1-{v.lstrip('+-')}*sqrt(5))/2",
+                         f"(1+1*sqrt({v}))/2", f"(1+1*sqrt(5))/{v}", f"({v}{v}*sqrt({v}))/{v}"):
+                assert _surd_outcome(parse_surd, text) == unlimited(_surd_outcome, _regex_parse_surd, text), text
 
     @pytest.mark.parametrize("bad", ["", "1+sqrt(5)", "(1+1*sqrt(5))", "(1+1*sqrt(5))/0x2",
                                      "(1+1*sqrt(-5))/2", "sqrt(5)/2"])

@@ -199,6 +199,12 @@ def _run_word(rng, n, run_max):
     return tuple(w[:n])
 
 
+def _after_runs(rng, n, run, top):
+    # each random entry after a run of `run` 1's: with run 1 the first cut
+    # leaves only one-entry tails
+    return tuple(itertools.chain.from_iterable((1,) * run + (rng.randint(2, top),) for _ in range(n // (run + 1))))
+
+
 @pytest.mark.parametrize("n", [_CUT_FROM, 1000, 10_000])
 def test_cut_on_periodic_and_run_families(n):
     rng = random.Random(n)
@@ -215,6 +221,9 @@ def test_cut_on_periodic_and_run_families(n):
         (1,) * 4 + (2,) + (1,) * 3 + (2,) * 3 + (1, 3) * (n // 2),
         _run_word(rng, n, 3), _run_word(rng, n, 40), _run_word(rng, n, n // 4),
         _thue_morse_word(n), _fibonacci_word(n),
+        _after_runs(rng, n, 1, 9), _after_runs(rng, n, 2, 10**6),
+        # one tail longer than the rest
+        (1, 2) * ((n - 4) // 2) + (1, 3, 3, 2),
     ]
     oracle = smallest_least_rotation if n <= 1000 else _scan
     for w in family:
