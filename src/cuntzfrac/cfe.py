@@ -456,15 +456,18 @@ def parse_block(text: str) -> PeriodicCFE:
     head, _, body = "".join(text.split()).partition("(")
     first = head[:-1].split(",") if head else []
     rest = body[:-1].split(",")
+    shaped = head[-1:] in ("", ",") and body[-1:] == ")"
     try:
-        if head[-1:] not in ("", ",") or body[-1:] != ")":
+        if not shaped:
             raise ValueError
-        initial = words._entries(first)  # checks each entry it reads
+        initial = words._entries(first)  # checks each entry it reads, zeros too
         period = words._entries(rest)
     except ValueError:
-        raise ParseError(f"not a block literal: {text!r}") from None
-    if 0 in initial or 0 in period:  # decimal digits admit no other bad value
-        raise ParseError(f"partial quotients must be >= 1: {text!r}")
+        # a block of decimal runs was refused for a zero, the one bad value
+        # that digits admit; any other refused entry makes it no block literal
+        zero = shaped and all(map(str.isdecimal, first + rest))
+        what = "partial quotients must be >= 1" if zero else "not a block literal"
+        raise ParseError(f"{what}: {text!r}") from None
     return _canonical(initial, period)
 
 

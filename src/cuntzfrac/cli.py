@@ -15,10 +15,8 @@ value outside (0, 1)).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
-from types import SimpleNamespace
 
 from . import families, words
 from .cfe import (
@@ -36,6 +34,7 @@ from .surds import (
     ParseError,
     QuadraticSurd,
     ZeroDenominator,
+    _cached,
     approx_decimal,
     field_discriminant,
     format_surd,
@@ -330,6 +329,10 @@ def _value(kind, token: str):
     return token if kind is str or token in kind else None
 
 
+class _Args:
+    """The attributes of one plain command line, as argparse's Namespace has them."""
+
+
 def _plain(argv):
     """The namespace argparse builds from `argv`, or None unless argv is a
     command name, then its positionals (not starting with "-", or "-") and
@@ -357,7 +360,8 @@ def _plain(argv):
                 return None
     if len(tokens) != len(positionals) or one_of and sum(opt[0] in given for opt in options) != 1:
         return None
-    args = SimpleNamespace(command=argv[0], func=func)
+    args = _Args()
+    args.command, args.func = argv[0], func
     for (name, kind, _), token in zip(positionals, tokens):
         if _value(kind, token) is None:
             return None
@@ -400,7 +404,7 @@ def build_parser():
 
 
 # one tree per process: the first call builds it, later calls reuse it
-_parser = functools.cache(build_parser)
+_parser = _cached(None)(build_parser)
 
 
 def main(argv=None) -> int:

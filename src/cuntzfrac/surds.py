@@ -15,10 +15,13 @@ operations pure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from functools import lru_cache
+
+try:
+    from _functools import _lru_cache_wrapper
+except ImportError:  # a Python without functools' C accelerator
+    from functools import _lru_cache_wrapper
 
 from .words import _digits, _number, _shown
 
@@ -37,6 +40,79 @@ class DomainError(ValueError):
 
 class ParseError(ValueError):
     """Text does not match the expected grammar."""
+
+
+# ---------------------------------------------------------------------------
+# the base of the value types, and the caches
+
+class _Frozen:
+    """Base of the immutable value types: the fields are the slots, set once
+    through their descriptors; == and hash go over the fields of two values of
+    one class, pickle and copy rebuild through the public constructor, and
+    repr is the class called with its public fields, at any size."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _setters(cls):
+        # the slots' own setters, which skip the frozen __setattr__
+        return (getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__match_args__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class CacheInfo(tuple):
+    """What cache_info() of a cache below returns: (hits, misses, maxsize,
+    currsize), equal to functools' CacheInfo of the same counts and printed
+    like it."""
+
+    __slots__ = ()
+    __match_args__ = ("hits", "misses", "maxsize", "currsize")
+    __repr__ = _Frozen.__repr__
+    hits, misses, maxsize, currsize = (property(lambda self, i=i: self[i]) for i in range(4))
+
+    def __new__(cls, hits, misses, maxsize, currsize):
+        return tuple.__new__(cls, (hits, misses, maxsize, currsize))
+
+
+def _cached(maxsize):
+    """functools.lru_cache(maxsize) without importing functools, whose imports
+    (collections, types, operator, ...) would double one command's start-up:
+    the same C cache, with cache_info(), cache_clear(), __wrapped__ and the
+    names and docstring that functools.update_wrapper copies."""
+
+    def wrap(f):
+        wrapper = _lru_cache_wrapper(f, maxsize, False, CacheInfo)
+        for name in ("__module__", "__name__", "__qualname__", "__doc__"):
+            setattr(wrapper, name, getattr(f, name))
+        wrapper.__wrapped__ = f
+        return wrapper
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +156,7 @@ _CERTIFIED_BELOW = _WINDOWS_END ** 3
 _WINDOW = 16384
 
 
-@functools.cache
+@_cached(None)
 def _exact_context():
     """The decimal context of the window reductions, built on the first use.
 
@@ -93,7 +169,7 @@ def _exact_context():
                            traps=[decimal.InvalidOperation, decimal.Inexact, decimal.Rounded])
 
 
-@functools.cache
+@_cached(None)
 def _segment_product(k: int):
     """Product, as a Decimal, of the primes in the k-th _WINDOW-wide window of [_SMALL_BOUND, _WINDOWS_END)."""
     lo = _SMALL_BOUND + k * _WINDOW
@@ -107,8 +183,10 @@ def _segment_product(k: int):
     # 16 primes convert and libmpdec multiplies them; converting the whole
     # product instead doubled the time to build the table
     ctx = _exact_context()
-    return functools.reduce(ctx.multiply, (ctx.create_decimal(math.prod(primes[i : i + 16]))
-                                           for i in range(0, len(primes), 16)))
+    product = 1
+    for i in range(0, len(primes), 16):
+        product = ctx.multiply(product, ctx.create_decimal(math.prod(primes[i : i + 16])))
+    return product
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -278,7 +356,7 @@ def _peel(m: int, h: int, s: int, f: int) -> tuple[int, int, int]:
     return m // g, s, f * g
 
 
-@lru_cache(maxsize=4096)
+@_cached(4096)
 def squarefree_split(n: int) -> tuple[int, int]:
     """Split n >= 1 as s*s*f with f squarefree; returns (s, f).
 
@@ -327,46 +405,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # value types
-
-class _Frozen:
-    """Base of the immutable value types: the fields are the slots, set once
-    through their descriptors; == and hash go over the fields of two values of
-    one class, pickle and copy rebuild through the public constructor, and
-    repr is the class called with its public fields, at any size."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @classmethod
-    def _setters(cls):
-        # the slots' own setters, which skip the frozen __setattr__
-        return (getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__match_args__)
-        return f"{self.__class__.__name__}({fields})"
-
 
 class QuadraticSurd(_Frozen):
     """The real number (a + b*sqrt(d))/c.

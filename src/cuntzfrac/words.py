@@ -60,16 +60,18 @@ class _Text(dict):
 
 class _Entry(dict):
     def __missing__(self, t: str) -> int:
-        if not t.isdecimal():  # int() would also read signs, spaces and underscores
-            raise ValueError(f"not a run of decimal digits: {t!r}")
-        return _number(t)
+        # int() would also read signs, spaces and underscores
+        n = _number(t) if t.isdecimal() else 0
+        if not n:
+            raise ValueError(f"not a positive run of decimal digits: {t!r}")
+        return n
 
 
-# entries below 1024 convert by one lookup, both ways.  Others, and text with
-# leading zeros or non-ASCII digits, are checked and converted on each lookup
-# and never stored, so the tables stay fixed
+# entries from 1 to 1023 convert by one lookup, both ways (0 only to text).
+# Others, and text with leading zeros or non-ASCII digits, are checked and
+# converted on each lookup and never stored, so the tables stay fixed
 _TEXT = _Text((n, str(n)) for n in range(1024))
-_ENTRY = _Entry((t, n) for n, t in _TEXT.items())
+_ENTRY = _Entry((t, n) for n, t in _TEXT.items() if n)
 
 
 def _joined(w: Word) -> str:
@@ -79,7 +81,7 @@ def _joined(w: Word) -> str:
 
 def _entries(parts: list[str]) -> Word:
     """The integers that the decimal strings in parts spell; ValueError if a
-    part is not a nonempty run of decimal digits."""
+    part is not a nonempty run of decimal digits or spells 0."""
     return tuple(map(_ENTRY.__getitem__, parts))
 
 

@@ -415,6 +415,11 @@ class TestBlockText:
             ("٣,(٠٢,1)", PeriodicCFE((3,), (2, 1))),
             ("(1024,1,5000)", PeriodicCFE((), (1024, 1, 5000))),
             ("( 1 0 2\t4 ,\n2 )", PeriodicCFE((), (1024, 2))),
+            # a zero past the tables, which only the entry's own check sees
+            ("(1,00)", "partial quotients must be >= 1: '(1,00)'"),
+            ("(00,x)", "not a block literal: '(00,x)'"),
+            ("٠٠,(1)", "partial quotients must be >= 1: '٠٠,(1)'"),
+            ("(1,0)x", "not a block literal: '(1,0)x'"),
         ],
     )
     def test_parse_answers_and_errors(self, text, want):

@@ -1,5 +1,7 @@
 import bisect
 import copy
+import functools
+import inspect
 import itertools
 import json
 import math
@@ -169,7 +171,78 @@ class TestSquarefreeSplit:
             assert split(p) == (1, p)
 
     def test_cache_is_bounded(self):
-        assert squarefree_split.cache_info().maxsize is not None
+        assert squarefree_split.cache_info().maxsize == 4096
+
+
+def _cache_differences():
+    """Where surds._cached departs from functools.lru_cache, the oracle, as a
+    list of (what, ours, functools'); empty when they agree.  Self-contained,
+    so that a child can run its source."""
+    import functools
+    import random
+
+    from cuntzfrac import cli, surds
+
+    diffs = []
+
+    def check(what, ours, theirs):
+        if ours != theirs or repr(ours) != repr(theirs):
+            diffs.append((what, ours, theirs))
+
+    def square(n: int) -> int:
+        """n * n, counted."""
+        calls.append(n)
+        return n * n
+
+    calls = []
+    for maxsize in (3, None):
+        ours, theirs = surds._cached(maxsize)(square), functools.lru_cache(maxsize)(square)
+        for name in ("__module__", "__name__", "__qualname__", "__doc__", "__wrapped__"):
+            check(name, getattr(ours, name), getattr(theirs, name))
+        rng = random.Random(27)
+        for step in range(300):  # 6 keys through 3 places evict often
+            if rng.random() < 0.05:
+                check(f"clear at {step}", ours.cache_clear(), theirs.cache_clear())
+            n = rng.randrange(6)
+            got = []
+            for f in (ours, theirs):
+                del calls[:]
+                got.append((f(n), len(calls)))
+            check(f"call {step}", *got)
+            a, b = ours.cache_info(), theirs.cache_info()
+            check(f"cache_info at {step}", a, b)
+            for field in b._fields:
+                check(f"{field} at {step}", getattr(a, field), getattr(b, field))
+    for f, maxsize in ((surds.squarefree_split, 4096), (surds._segment_product, None),
+                       (surds._exact_context, None), (cli._parser, None)):
+        check(f"{f.__name__} maxsize", f.cache_info().maxsize, maxsize)
+        check(f"{f.__name__} wraps", f.__wrapped__.__name__, f.__name__)
+    check("same wrapper", surds._lru_cache_wrapper, functools._lru_cache_wrapper)
+    return diffs
+
+
+class TestCaches:
+    """surds._cached against functools.lru_cache, in this process and in a
+    child without the _functools accelerator, where it takes the fallback."""
+
+    def test_agrees_with_functools(self):
+        assert _cache_differences() == []
+        # the same C object, so a lookup costs what functools' costs
+        assert type(squarefree_split) is type(functools.lru_cache(1)(abs))
+
+    def test_agrees_with_functools_without_the_accelerator(self):
+        code = "\n".join([
+            "import sys, types",
+            "sys.modules['_functools'] = None",
+            inspect.getsource(_cache_differences),
+            "assert _cache_differences() == [], _cache_differences()",
+            "from cuntzfrac import surds",
+            "assert isinstance(surds._lru_cache_wrapper, types.FunctionType)",
+            "assert type(surds.squarefree_split) is types.FunctionType",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surds.__file__)))
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
 
 
 def _primes_below(limit: int) -> list[int]:
@@ -320,14 +393,22 @@ class TestGcdCertificate:
         # start-up nor a small classify pays for their imports; argparse
         # (with gettext, locale and shutil) loads only for help, which still
         # works.  re (with enum) loads only through json: the surd grammar is
-        # read by str methods.  -S keeps site, which may import random
-        # itself, out of the child
+        # read by str methods.  Beyond the package, the plain classify loads
+        # only __future__, _functools, itertools and math: the caches are
+        # functools' C object without functools, so collections, types,
+        # operator, keyword and reprlib stay out too.  -S keeps site, which
+        # may import random itself, out of the child
         code = "\n".join([
             "import sys",
+            "before = set(sys.modules)",
             "import cuntzfrac.surds as s",
             "assert s._segment_product.cache_info().currsize == 0",
             "import cuntzfrac.cli as cli",
             "assert cli.main(['classify', '(-1+1*sqrt(5))/2']) == 0",
+            "added = sorted(set(sys.modules) - before)",
+            "allowed = {'__future__', '_functools', 'itertools', 'math'}",
+            "extra = [m for m in added if m not in allowed and m.partition('.')[0] != 'cuntzfrac']",
+            "assert not extra, extra",
             "lazy = [m for m in ('dataclasses', 'inspect', 'random', 'json', 'decimal', 'argparse',",
             "                    'gettext', 'locale', 'shutil', 're', 'enum') if m in sys.modules]",
             "assert not lazy, lazy",

@@ -281,15 +281,17 @@ def test_word_text_matches_str_and_int(w):
 
 
 def test_entries_read_what_isdecimal_admits():
-    parts = ["٣", "007", "0", "01023", "1024", "٠٠٢"]
+    parts = ["٣", "007", "01", "01023", "1024", "٠٠٢"]
     assert all(map(str.isdecimal, parts))
-    assert _entries(parts) == tuple(map(int, parts)) == (3, 7, 0, 1023, 1024, 2)
+    assert _entries(parts) == tuple(map(int, parts)) == (3, 7, 1, 1023, 1024, 2)
 
 
-@pytest.mark.parametrize("part", [" 5", "5 ", "+5", "-5", "5_0", "", "1.0", "²", "0x1", "五"])
+@pytest.mark.parametrize("part", [" 5", "5 ", "+5", "-5", "5_0", "", "1.0", "²", "0x1", "五",
+                                  "0", "00", "٠"])
 def test_entries_refuse_what_isdecimal_refuses(part):
-    # int() reads signs, whitespace and underscores; an entry is digits only
-    assert not part.isdecimal()
+    # int() reads signs, whitespace and underscores; an entry is digits only,
+    # and a partial quotient is never zero
+    assert not part.isdecimal() or int(part) == 0
     for parts in ([part], ["7", part], [part, "1024"], ["2000", part]):
         with pytest.raises(ValueError):
             _entries(parts)
@@ -300,7 +302,7 @@ def test_tables_stay_fixed():
     sizes = len(_TEXT), len(_ENTRY)
     assert _joined((1024, 10**30)) == "1024," + "1" + "0" * 30
     assert _entries(["1024", "٣", "007"]) == (1024, 3, 7)
-    assert (len(_TEXT), len(_ENTRY)) == sizes == (1024, 1024)
+    assert (len(_TEXT), len(_ENTRY)) == sizes == (1024, 1023)
 
 
 # ---------------------------------------------------------------------------
