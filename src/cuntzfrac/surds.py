@@ -43,47 +43,7 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the base of the value types, and the caches
-
-class _Frozen:
-    """Base of the immutable value types: the fields are the slots, set once
-    through their descriptors; == and hash go over the fields of two values of
-    one class, pickle and copy rebuild through the public constructor, and
-    repr is the class called with its public fields, at any size."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @classmethod
-    def _setters(cls):
-        # the slots' own setters, which skip the frozen __setattr__
-        return (getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__match_args__)
-        return f"{self.__class__.__name__}({fields})"
-
+# the caches
 
 class CacheInfo(tuple):
     """What cache_info() of a cache below returns: (hits, misses, maxsize,
@@ -91,12 +51,13 @@ class CacheInfo(tuple):
     like it."""
 
     __slots__ = ()
-    __match_args__ = ("hits", "misses", "maxsize", "currsize")
-    __repr__ = _Frozen.__repr__
     hits, misses, maxsize, currsize = (property(lambda self, i=i: self[i]) for i in range(4))
 
     def __new__(cls, hits, misses, maxsize, currsize):
         return tuple.__new__(cls, (hits, misses, maxsize, currsize))
+
+    def __repr__(self) -> str:
+        return "CacheInfo(hits={}, misses={}, maxsize={}, currsize={})".format(*self)
 
 
 def _cached(maxsize):
@@ -405,6 +366,46 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # value types
+
+class _Frozen:
+    """Base of the immutable value types: the fields are the slots, set once
+    through their descriptors; == and hash go over the fields of two values of
+    one class, pickle and copy rebuild through the public constructor, and
+    repr is the class called with its public fields, at any size."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _setters(cls):
+        # the slots' own setters, which skip the frozen __setattr__
+        return (getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__match_args__)
+        return f"{self.__class__.__name__}({fields})"
+
 
 class QuadraticSurd(_Frozen):
     """The real number (a + b*sqrt(d))/c.
