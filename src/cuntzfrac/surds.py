@@ -101,7 +101,7 @@ def _sieve(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if flags[i]]
+    return list(itertools.compress(range(limit), flags))
 
 
 _SMALL_BOUND = 1000

@@ -54,8 +54,16 @@ def _shown(v) -> str:
         return _digits(v)
 
 
+# entries from 1 to 1023 convert by one lookup, both ways (0 only to text),
+# once the first lookup of each has stored it: start-up builds no table.
+# Others, and text with leading zeros or non-ASCII digits, are checked and
+# converted on each lookup and never stored, so neither table outgrows 1,024
 class _Text(dict):
-    __missing__ = staticmethod(_digits)
+    def __missing__(self, n: int) -> str:
+        t = _digits(n)
+        if type(n) is int and 0 <= n < 1024:
+            self[n] = t
+        return t
 
 
 class _Entry(dict):
@@ -64,14 +72,13 @@ class _Entry(dict):
         n = _number(t) if t.isdecimal() else 0
         if not n:
             raise ValueError(f"not a positive run of decimal digits: {t!r}")
+        if n < 1024 and t == str(n):
+            self[t] = n
         return n
 
 
-# entries from 1 to 1023 convert by one lookup, both ways (0 only to text).
-# Others, and text with leading zeros or non-ASCII digits, are checked and
-# converted on each lookup and never stored, so the tables stay fixed
-_TEXT = _Text((n, str(n)) for n in range(1024))
-_ENTRY = _Entry((t, n) for n, t in _TEXT.items() if n)
+_TEXT = _Text()
+_ENTRY = _Entry()
 
 
 def _joined(w: Word) -> str:

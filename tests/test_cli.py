@@ -294,6 +294,19 @@ class TestVerifyExamples:
             '"passes": [50, 100, 120, 600], "radicand_123": 148}\n'
         )
 
+    def test_fresh_interpreter_matches_in_process(self, capsys):
+        # the command imports the block families on first use, so a -S child
+        # that has loaded nothing before it gives the in-process bytes
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuntzfrac.__file__)))
+        for extra in ([], ["--format", "json"]):
+            want = run(capsys, "verify-examples", *extra)
+            done = subprocess.run(
+                [sys.executable, "-S", "-m", "cuntzfrac.cli", "verify-examples", *extra],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == want
+            assert want[0] == 0
+
     def test_closed_forms_are_the_folds(self):
         # the closed forms are identities, so the sweep needs no fallback: the
         # fold [[p, q], [r, s]] of each word's step matrices gives the

@@ -396,16 +396,23 @@ class TestGcdCertificate:
         # read by str methods.  Beyond the package, the plain classify loads
         # only __future__, _functools, itertools and math: the caches are
         # functools' C object without functools, so collections, types,
-        # operator, keyword and reprlib stay out too.  -S keeps site, which
-        # may import random itself, out of the child
+        # operator, keyword and reprlib stay out too.  No table is built at
+        # import: the word tables start empty, the classify stores only the
+        # entry it prints, and the block families load only for
+        # verify-examples.  -S keeps site, which may import random itself,
+        # out of the child
         code = "\n".join([
             "import sys",
             "before = set(sys.modules)",
             "import cuntzfrac.surds as s",
             "assert s._segment_product.cache_info().currsize == 0",
             "import cuntzfrac.cli as cli",
+            "from cuntzfrac import words",
+            "assert not words._TEXT and not words._ENTRY",
             "assert cli.main(['classify', '(-1+1*sqrt(5))/2']) == 0",
+            "assert words._TEXT == {1: '1'} and not words._ENTRY",
             "added = sorted(set(sys.modules) - before)",
+            "assert 'cuntzfrac.families' not in added, added",
             "allowed = {'__future__', '_functools', 'itertools', 'math'}",
             "extra = [m for m in added if m not in allowed and m.partition('.')[0] != 'cuntzfrac']",
             "assert not extra, extra",

@@ -297,12 +297,36 @@ def test_entries_refuse_what_isdecimal_refuses(part):
             _entries(parts)
 
 
-def test_tables_stay_fixed():
-    # entries past the tables convert on each lookup and are never stored
-    sizes = len(_TEXT), len(_ENTRY)
-    assert _joined((1024, 10**30)) == "1024," + "1" + "0" * 30
-    assert _entries(["1024", "٣", "007"]) == (1024, 3, 7)
-    assert (len(_TEXT), len(_ENTRY)) == sizes == (1024, 1023)
+def test_tables_stay_bounded(monkeypatch):
+    # the tables fill on first lookup and only grow: only canonical keys
+    # inside them are ever stored, each with its own value, and every answer
+    # is the one the full tables built at import gave; other keys convert on
+    # each lookup
+    old_text = {n: str(n) for n in range(1024)}
+    old_entry = {t: n for n, t in old_text.items() if n}
+    keys = list(range(5001)) + ["007", "٣", "+5", "1_0", "0"]
+    random.Random(28).shuffle(keys)
+    for text, entry in ((words._Text(), words._Entry()), (_TEXT, _ENTRY)):
+        assert text.items() <= old_text.items() and entry.items() <= old_entry.items()
+        monkeypatch.setattr(words, "_TEXT", text)
+        monkeypatch.setattr(words, "_ENTRY", entry)
+        # keys equal to an entry but not ints are never stored, or 1 would
+        # come back as "True"
+        _joined((True, False, 1.0))
+        for key in keys:
+            t = str(key)
+            if type(key) is int:
+                assert _joined((key,)) == old_text.get(key, t)
+            if t.isdecimal() and int(t):
+                assert _entries([t]) == (old_entry.get(t, int(t)),)
+            else:
+                with pytest.raises(ValueError):
+                    _entries([t])
+            assert len(text) <= 1024 and len(entry) <= 1023
+        assert _joined((1024, 10**30)) == "1024," + "1" + "0" * 30
+        assert _entries(["1024", "٣", "007"]) == (1024, 3, 7)
+        assert text == old_text and entry == old_entry
+        assert all(type(n) is int for n in text) and all(type(n) is int for n in entry.values())
 
 
 # ---------------------------------------------------------------------------
