@@ -92,18 +92,12 @@ class Cycle(_Frozen):
 
 
 class Chain(_Frozen):
-    """Class of a chain representation, known only by a finite prefix.
+    """Class of a chain representation, known only by a finite prefix."""
 
-    `continuation` names the undisclosed remainder of the stream; two chains
-    naming the same continuation share a tail by construction.  The default
-    "?" is anonymous and never matches.
-    """
+    __slots__ = __match_args__ = ("prefix",)
 
-    __slots__ = __match_args__ = ("prefix", "continuation")
-
-    def __init__(self, prefix: Word, continuation: str = "?") -> None:
+    def __init__(self, prefix: Word) -> None:
         object.__setattr__(self, "prefix", tuple(prefix))
-        object.__setattr__(self, "continuation", continuation)
         _check_quotients(self.prefix, "prefix entries")
 
     def __str__(self) -> str:
@@ -111,18 +105,12 @@ class Chain(_Frozen):
         return f"P({head},...)" if head else "P(...)"
 
 
-RepClass = Cycle | Chain
-
-
-def pj_equivalent(j: RepClass, k: RepClass) -> bool | None:
-    """Unitary equivalence of two classes; None when a finite prefix cannot
-    decide (chain against chain with unrelated continuations)."""
+def pj_equivalent(j: Cycle | Chain, k: Cycle | Chain) -> bool | None:
+    """Unitary equivalence of two classes; None for two chains: no prefix decides."""
     if isinstance(j, Cycle) and isinstance(k, Cycle):
         return j.word == k.word
     if isinstance(j, Cycle) or isinstance(k, Cycle):
         return False
-    if j.continuation != "?" and j.continuation == k.continuation:
-        return True
     return None
 
 
@@ -276,13 +264,6 @@ class CheckEntry(_Frozen):
 
 
 _set_check, _set_instance, _set_verdict, _set_residual = CheckEntry._setters()
-
-
-def report_to_json(entries) -> list[dict]:
-    return [
-        {"check": e.check, "instance": e.instance, "verdict": e.verdict, "residual": e.residual}
-        for e in entries
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Modular equivalence of quadratic surds, decided through expansion tails."""
+"""Modular equivalence of quadratic surds: discriminants, then class labels."""
 
 from __future__ import annotations
 
 from . import words
-from .cfe import PeriodicCFE, cfe_periodic
+from .cfe import cfe_periodic
 from .surds import (
     QuadraticSurd,
     UnimodularMatrix,
@@ -15,28 +15,19 @@ from .surds import (
 )
 
 
-def tail_equivalent(a: PeriodicCFE, b: PeriodicCFE) -> bool:
-    """True when the sequences agree after finitely many shifts on each side.
-
-    For eventually periodic sequences this holds exactly when the primitive
-    periods are rotations of each other; initial blocks are irrelevant.
-    """
-    return words.canonical_rotation(a.period) == words.canonical_rotation(b.period)
-
-
 def modular_equivalent(x: QuadraticSurd, y: QuadraticSurd) -> bool:
     """Decide x ~ y under integer Moebius maps of determinant +-1.
 
     Maps of determinant +-1 preserve the discriminant of the primitive
     minimal polynomial, so differing discriminants answer at once; otherwise
-    repeating blocks are compared, which is exact and terminating.  No
+    the class labels are compared, which is exact and terminating.  No
     witness matrix is ever searched for.
     """
     for v in (x, y):
         _require_omega(v)
     if poly_discriminant(x) != poly_discriminant(y):
         return False
-    return tail_equivalent(cfe_periodic(x), cfe_periodic(y))
+    return omega_class_label(x) == omega_class_label(y)
 
 
 def apply_and_reduce(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:

@@ -555,11 +555,6 @@ def floor_of(x: QuadraticSurd) -> int:
     return _floor_ratio(x._a, x._b, x._c, x._d)
 
 
-def cmp_int(x: QuadraticSurd, k: int) -> int:
-    """Sign of x - k, exactly; never 0, as x is irrational."""
-    return 1 if floor_of(x) >= k else -1
-
-
 def in_omega(x: QuadraticSurd) -> bool:
     """True when 0 < x < 1."""
     return floor_of(x) == 0

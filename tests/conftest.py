@@ -29,6 +29,12 @@ def random_surd(rng: random.Random, max_d: int = 150) -> QuadraticSurd:
         return x
 
 
+def brute_min_rotation(w):
+    """Least rotation of a word by trying every start: the oracle of the
+    least-rotation code and of the class labels."""
+    return min(w[i:] + w[:i] for i in range(len(w)))
+
+
 def fresh(x: QuadraticSurd) -> QuadraticSurd:
     """A value equal to x that keeps nothing computed on x, so cfe_periodic
     walks it even when x came from surd_from_cfe and carries its block."""

@@ -37,7 +37,6 @@ from cuntzfrac import (
     normalize,
     orbit_decompose,
     pj_equivalent,
-    report_to_json,
     sigma_shift,
     surd_from_cfe,
     verify_cuntz_relations,
@@ -123,11 +122,8 @@ class TestRepClasses:
         assert pj_equivalent(Chain((1, 1, 1)), Cycle((1,))) is False
 
     def test_pj_equivalent_chains(self):
-        a = Chain((1, 2), continuation="pi-tail")
-        b = Chain((9, 1, 2), continuation="pi-tail")
-        c = Chain((1, 2), continuation="e-tail")
-        assert pj_equivalent(a, b) is True
-        assert pj_equivalent(a, c) is None
+        # a finite prefix decides nothing, not even for equal prefixes
+        assert pj_equivalent(Chain((1, 2)), Chain((9, 1, 2))) is None
         assert pj_equivalent(Chain((1,)), Chain((1,))) is None
 
 
@@ -324,8 +320,8 @@ def _matched(value):
             return m11, m12, m21, m22
         case Cycle(word):
             return (word,)
-        case Chain(prefix, continuation):
-            return prefix, continuation
+        case Chain(prefix):
+            return (prefix,)
         case WordOperator(left, right, zero):
             return left, right, zero
         case CheckEntry(check, instance, verdict, residual):
@@ -340,8 +336,7 @@ VALUE_TYPES = [
     (UnimodularMatrix(2, 1, 1, 1), UnimodularMatrix(1, 1, 0, 1) @ UnimodularMatrix(1, 0, 1, 1),
      ("m11", "m12", "m21", "m22"), (2, 1, 1, 1), "UnimodularMatrix(m11=2, m12=1, m21=1, m22=1)"),
     (Cycle((2, 1)), Cycle._trusted((1, 2)), ("word",), ((1, 2),), "Cycle(word=(1, 2))"),
-    (Chain((1,)), Chain([1], continuation="?"), ("prefix", "continuation"), ((1,), "?"),
-     "Chain(prefix=(1,), continuation='?')"),
+    (Chain((1,)), Chain([1]), ("prefix",), ((1,),), "Chain(prefix=(1,))"),
     (WordOperator(), WordOperator._trusted((), ()), ("left", "right", "zero"), ((), (), False),
      "WordOperator(left=(), right=(), zero=False)"),
     (WordOperator((2,), (1, 3)), WordOperator._trusted((2,), (1, 3)), ("left", "right", "zero"),
@@ -380,7 +375,6 @@ class TestValueTypes:
     def test_defaults(self):
         assert WordOperator() == IDENTITY and not IDENTITY.zero
         assert WordOperator(zero=True) == ZERO and (ZERO.left, ZERO.right) == ((), ())
-        assert Chain((1,)).continuation == "?"
         assert CheckEntry("c", "i", "pass").residual is None
 
 
@@ -584,11 +578,6 @@ class TestRelationChecks:
             verify_cuntz_relations(0, 3)
         with pytest.raises(ValueError):
             verify_cuntz_relations(3, 1)
-
-    def test_report_json_shape(self):
-        entries = cycle_dft_split((1,), 2)
-        for obj in report_to_json(entries):
-            assert set(obj) == {"check", "instance", "verdict", "residual"}
 
 
 class TestOrbitDecompose:

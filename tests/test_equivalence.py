@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_surd, random_unimodular
+from conftest import brute_min_rotation, random_surd, random_unimodular
 from cuntzfrac import (
     NotIrrational,
     PeriodicCFE,
@@ -18,21 +18,9 @@ from cuntzfrac import (
     normalize,
     omega_class_label,
     poly_discriminant,
-    tail_equivalent,
 )
 from cuntzfrac import equivalence
 from cuntzfrac.surds import DomainError
-
-
-class TestTailEquivalent:
-    def test_initial_blocks_irrelevant(self):
-        assert tail_equivalent(PeriodicCFE((), (1,)), PeriodicCFE((5,), (1,)))
-
-    def test_rotation(self):
-        assert tail_equivalent(PeriodicCFE((), (1, 2)), PeriodicCFE((), (2, 1)))
-
-    def test_distinct_periods(self):
-        assert not tail_equivalent(PeriodicCFE((), (1,)), PeriodicCFE((), (2,)))
 
 
 class TestModularEquivalent:
@@ -76,11 +64,16 @@ class TestModularEquivalent:
         assert not modular_equivalent(x, y)
 
     def test_shortcut_agrees_with_labels(self):
+        # against least rotations found by brute force, not the labels that
+        # modular_equivalent compares itself
         rng = random.Random(61)
         for _ in range(200):
             x = random_surd(rng, max_d=30)
-            y = random_surd(rng, max_d=30) if rng.random() < 0.5 else apply_and_reduce(random_unimodular(rng), x)
-            assert modular_equivalent(x, y) == (omega_class_label(x) == omega_class_label(y))
+            image = rng.random() >= 0.5
+            y = apply_and_reduce(random_unimodular(rng), x) if image else random_surd(rng, max_d=30)
+            same = brute_min_rotation(cfe_periodic(x).period) == brute_min_rotation(cfe_periodic(y).period)
+            assert modular_equivalent(x, y) == same
+            assert same or not image
 
 
 class TestApplyAndReduce:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unlimited
+from conftest import brute_min_rotation, unlimited
 from cuntzfrac import words
 from cuntzfrac.words import (
     _CUT_FROM,
@@ -27,10 +27,6 @@ from cuntzfrac.words import (
 )
 
 small_words = st.lists(st.integers(1, 4), min_size=1, max_size=9).map(tuple)
-
-
-def brute_min_rotation(w):
-    return min(w[i:] + w[:i] for i in range(len(w)))
 
 
 def smallest_least_rotation(w):
