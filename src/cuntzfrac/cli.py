@@ -34,7 +34,6 @@ from .surds import (
     ParseError,
     QuadraticSurd,
     ZeroDenominator,
-    _cached,
     approx_decimal,
     field_discriminant,
     format_surd,
@@ -134,70 +133,60 @@ def cmd_tau(args) -> int:
     return EXIT_OK
 
 
-def _verify_family(rows, failures) -> int:
-    npass = 0
-    for instance, got, want in rows:
-        if got == want:
-            npass += 1
-        else:
-            failures.append({"instance": instance, "got": str(got), "expected": str(want)})
-    return npass
-
-
 def cmd_verify_examples(args) -> int:
     from . import families  # no other command reads the block families
-    failures: list[dict] = []
-
-    rows = []
+    single, pair, triple, quad = [], [], [], []
     for k in range(1, 51):
-        rows.append((f"single k={k}", classify_surd(families.single_block_surd(k)), Cycle((k,))))
-    n1 = _verify_family(rows, failures)
-    lines = [f"single-letter blocks, k=1..50: {n1}/{len(rows)} pass"]
-
-    rows = []
+        single.append((f"single k={k}", classify_surd(families.single_block_surd(k)), Cycle((k,))))
     for j in range(1, 11):
         for k in range(1, 11):
             x = families.pair_block_surd(j, k)
             if j == k:
-                rows.append((f"pair j=k={k} collapses", x, families.single_block_surd(k)))
+                pair.append((f"pair j=k={k} collapses", x, families.single_block_surd(k)))
             else:
-                rows.append((f"pair (j,k)=({j},{k})", classify_surd(x), Cycle((j, k))))
-    n2 = _verify_family(rows, failures)
-    lines.append(f"two-letter blocks, j,k<=10: {n2}/{len(rows)} pass")
-
-    passes = [n1, n2]
-    for name, arity, closed_form in (
-        ("triple", 3, families.triple_block_surd),
-        ("quad", 4, families.quad_block_surd),
+                pair.append((f"pair (j,k)=({j},{k})", classify_surd(x), Cycle((j, k))))
+    for rows, name, arity, closed_form in (
+        (triple, "triple", 3, families.triple_block_surd),
+        (quad, "quad", 4, families.quad_block_surd),
     ):
-        rows = []
         for tup in itertools.product(range(1, 6), repeat=arity):
-            if not is_nonperiodic(tup):
-                continue
-            rows.append((f"{name} {tup}", classify_surd(closed_form(*tup)[0]), Cycle(tup)))
-        passes.append(_verify_family(rows, failures))
-        letters = "three" if arity == 3 else "four"
-        lines.append(f"{letters}-letter blocks, entries<=5: {passes[-1]}/{len(rows)} pass")
+            if is_nonperiodic(tup):
+                rows.append((f"{name} {tup}", classify_surd(closed_form(*tup)[0]), Cycle(tup)))
+
+    passes, lines, failures = [], [], []
+    for title, rows in (
+        ("single-letter blocks, k=1..50", single),
+        ("two-letter blocks, j,k<=10", pair),
+        ("three-letter blocks, entries<=5", triple),
+        ("four-letter blocks, entries<=5", quad),
+    ):
+        npass = 0
+        for instance, got, want in rows:
+            if got == want:
+                npass += 1
+            else:
+                failures.append({"instance": instance, "got": str(got), "expected": str(want)})
+        passes.append(npass)
+        lines.append(f"{title}: {npass}/{len(rows)} pass")
 
     x123, d123 = families.triple_block_surd(1, 2, 3)
+    df123 = field_discriminant(x123)
     lines.append(
         f"triple (1,2,3): raw radicand D={d123}, solved surd {format_surd(x123)}, "
-        f"field discriminant {field_discriminant(x123)}"
+        f"field discriminant {df123}"
     )
-
     payload = {
         "passes": passes,
         "radicand_123": d123,
-        "field_discriminant_123": field_discriminant(x123),
+        "field_discriminant_123": df123,
         "notes": [],
         "failures": failures,
     }
     if failures:
         import json
-        _emit(args, payload, lines + [json.dumps(failures)])
-        return EXIT_FAIL
+        lines.append(json.dumps(failures))
     _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_FAIL if failures else EXIT_OK
 
 
 def _corpus_expected(mode: str, text: str, out: str) -> str:
@@ -404,10 +393,6 @@ def build_parser():
     return parser
 
 
-# one tree per process: the first call builds it, later calls reuse it
-_parser = _cached(None)(build_parser)
-
-
 def main(argv=None) -> int:
     # the command owns its process, so it lifts CPython's int<->str digit
     # limit for json.dumps of big int lists and the discriminants it prints;
@@ -416,7 +401,7 @@ def main(argv=None) -> int:
     if saved:
         sys.set_int_max_str_digits(0)
     try:
-        args = _plain(sys.argv[1:] if argv is None else argv) or _parser().parse_args(argv)
+        args = _plain(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

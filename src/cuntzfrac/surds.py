@@ -682,7 +682,7 @@ def surd_from_json(obj: dict) -> QuadraticSurd:
     try:
         return normalize(*(_json_int(obj[k]) for k in ("a", "b", "c", "d")))
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, (NotIrrational, ZeroDenominator)):
+        if isinstance(exc, NotIrrational):
             raise
         raise ParseError(f"not a surd object: {_shown(obj)}") from exc
 

@@ -326,30 +326,45 @@ class TestVerifyExamples:
                 assert tuple(k // h for k in poly) == (r // g, (s - p) // g, -q // g), tup
                 assert in_omega(x), tup
 
-    @pytest.mark.parametrize("name, tup, failure", [
-        ("triple", (1, 1, 2), {"instance": "triple (1, 1, 2)", "got": "P(1)", "expected": "P(1,1,2)"}),
-        ("quad", (1, 3, 1, 2), {"instance": "quad (1, 3, 1, 2)", "got": "P(1)", "expected": "P(1,2,1,3)"}),
-    ], ids=["triple", "quad"])
-    def test_closed_form_drift_fails(self, capsys, monkeypatch, name, tup, failure):
+    @pytest.mark.parametrize("name, tup, passes, failures", [
+        # a drifting single closed form also fails the pair row j=k that
+        # compares the collapsed pair against it
+        ("single", (3,), [49, 99, 120, 600], [
+            {"instance": "single k=3", "got": "P(1)", "expected": "P(3)"},
+            {"instance": "pair j=k=3 collapses", "got": "(-3+1*sqrt(13))/2", "expected": "(-1+1*sqrt(5))/2"},
+        ]),
+        ("pair", (1, 2), [50, 99, 120, 600],
+         [{"instance": "pair (j,k)=(1,2)", "got": "P(1)", "expected": "P(1,2)"}]),
+        ("triple", (1, 1, 2), [50, 100, 119, 600],
+         [{"instance": "triple (1, 1, 2)", "got": "P(1)", "expected": "P(1,1,2)"}]),
+        ("quad", (1, 3, 1, 2), [50, 100, 120, 599],
+         [{"instance": "quad (1, 3, 1, 2)", "got": "P(1)", "expected": "P(1,2,1,3)"}]),
+    ], ids=["single", "pair", "triple", "quad"])
+    def test_closed_form_drift_fails(self, capsys, monkeypatch, name, tup, passes, failures):
         # a closed form that drifts for one tuple fails that row: the sweep
         # exits 1 and lists it, in JSON and as the last line of its text
         constructor = getattr(families, f"{name}_block_surd")
+        # the single and pair closed forms return the surd alone, the triple
+        # and quad ones the surd and its raw radicand
+        wrong = families.single_block_surd(1)
+        if name in ("triple", "quad"):
+            wrong = (wrong, 0)
 
         def drifting(*args):
             if args == tup:
-                return families.single_block_surd(1), 0
+                return wrong
             return constructor(*args)
 
         monkeypatch.setattr(families, f"{name}_block_surd", drifting)
         code, out, err = run(capsys, "verify-examples", "--format", "json")
         payload = json.loads(out)
         assert (code, err) == (1, "")
-        assert payload["passes"] == ([50, 100, 119, 600] if name == "triple" else [50, 100, 120, 599])
-        assert payload["failures"] == [failure]
+        assert payload["passes"] == passes
+        assert payload["failures"] == failures
         assert payload["notes"] == []
         code, out, err = run(capsys, "verify-examples")
         assert (code, err) == (1, "")
-        assert out.splitlines()[-1] == json.dumps([failure])
+        assert out.splitlines()[-1] == json.dumps(failures)
 
     def test_drift_the_inverse_construction_confirms_fails(self, capsys, monkeypatch):
         # the inverse construction gives (1, 1, 2) its class, yet a closed
@@ -721,9 +736,8 @@ class TestRepeatedCalls:
             fresh.append((done.returncode, done.stdout, done.stderr))
         assert fresh[2][0] == 2 and "required" in fresh[2][2]
         assert {cli._plain(list(argv)) is None for argv in self.ARGVS} == {True, False}
-        # the first round builds the parser at its first argparse argv, the
-        # second reuses it
-        cli._parser.cache_clear()
+        # each round builds the parser again at each argparse argv, and
+        # gives the same answers both times
         for _ in range(2):
             got = [self._in_process(capsys, argv) for argv in self.ARGVS]
             assert got == fresh

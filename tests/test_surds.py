@@ -180,7 +180,7 @@ def _cache_differences():
     import functools
     import random
 
-    from cuntzfrac import cli, surds
+    from cuntzfrac import surds
 
     diffs = []
 
@@ -213,7 +213,7 @@ def _cache_differences():
             for field in b._fields:
                 check(f"{field} at {step}", getattr(a, field), getattr(b, field))
     for f, maxsize in ((surds.squarefree_split, 4096), (surds._segment_product, None),
-                       (surds._exact_context, None), (cli._parser, None)):
+                       (surds._exact_context, None)):
         check(f"{f.__name__} maxsize", f.cache_info().maxsize, maxsize)
         check(f"{f.__name__} wraps", f.__wrapped__.__name__, f.__name__)
     check("same wrapper", surds._lru_cache_wrapper, functools._lru_cache_wrapper)
