@@ -18,7 +18,6 @@ from .cfe import (
 )
 from .cuntz import (
     BadMultiplicity,
-    Chain,
     CheckEntry,
     Cycle,
     EmptyWord,
@@ -36,7 +35,6 @@ from .cuntz import (
     is_nonperiodic,
     label_cons,
     orbit_decompose,
-    pj_equivalent,
     verify_cuntz_relations,
     word_op_mul,
 )

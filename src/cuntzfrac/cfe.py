@@ -22,6 +22,7 @@ from .surds import (
     _floor_pq,
     _Frozen,
     _json_int,
+    _min_poly,
     _require_omega,
     _set_expansion,
     mobius_apply,
@@ -89,17 +90,14 @@ _set_initial, _set_period = PeriodicCFE._setters()
 
 
 def _reciprocal_state(x: QuadraticSurd) -> tuple[int, int, int, int]:
-    # (P, Q, Q_prev, D) of 1/x, the stream all partial quotients of x are read
-    # from; Q_prev * Q = D - P*P, x itself is (-P + sqrt(D))/Q_prev, scaled by
-    # |Q_prev| when Q_prev does not divide D - P*P as read off x
-    if x._b > 0:
-        p, q = x._a, x._c
-    else:
-        p, q = -x._a, -x._c
-    d = x._b * x._b * x._d
-    if (d - p * p) % q:
-        p, d, q = p * abs(q), d * q * q, q * abs(q)
-    return -p, (d - p * p) // q, q, d
+    # (P, Q, Q_prev, D) of 1/x, which all partial quotients of x are read from:
+    # _certified's state of (A, B, -C), for _min_poly(x) = (A, B, C) negated
+    # when x._b < 0, so x = (-B + sqrt(D))/(2A) and D = poly_discriminant(x);
+    # Q, Q_prev are even and every state is the form (Q/2, P, -Q_prev/2) of D
+    a, b, c = _min_poly(x)
+    if x._b < 0:
+        a, b, c = -a, -b, -c
+    return b, -2 * c, 2 * a, b * b - 4 * a * c
 
 
 def cfe_expand(x: QuadraticSurd, n: int) -> Word:

@@ -91,29 +91,6 @@ class Cycle(_Frozen):
         return "P(" + words._joined(self.word) + ")"
 
 
-class Chain(_Frozen):
-    """Class of a chain representation, known only by a finite prefix."""
-
-    __slots__ = __match_args__ = ("prefix",)
-
-    def __init__(self, prefix: Word) -> None:
-        object.__setattr__(self, "prefix", tuple(prefix))
-        _check_quotients(self.prefix, "prefix entries")
-
-    def __str__(self) -> str:
-        head = words._joined(self.prefix)
-        return f"P({head},...)" if head else "P(...)"
-
-
-def pj_equivalent(j: Cycle | Chain, k: Cycle | Chain) -> bool | None:
-    """Unitary equivalence of two classes; None for two chains: no prefix decides."""
-    if isinstance(j, Cycle) and isinstance(k, Cycle):
-        return j.word == k.word
-    if isinstance(j, Cycle) or isinstance(k, Cycle):
-        return False
-    return None
-
-
 def classify_surd(x: QuadraticSurd) -> Cycle:
     """Cycle class attached to a quadratic irrational through its repeating block."""
     return Cycle._trusted(words.canonical_rotation(cfe_periodic(x).period))

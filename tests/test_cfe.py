@@ -29,6 +29,7 @@ from cuntzfrac import (
     mobius_apply,
     normalize,
     parse_block,
+    poly_discriminant,
     sigma_shift,
     surd_from_cfe,
 )
@@ -42,11 +43,11 @@ class TestReciprocalState:
     # (P, Q, Q_prev, D) of 1/x: Q_prev * Q = D - P*P and x = (-P + sqrt(D))/Q_prev
     def test_no_scaling_needed(self):
         assert cfe._reciprocal_state(normalize(-1, 1, 2, 5)) == (1, 2, 2, 5)
-        assert cfe._reciprocal_state(normalize(0, 1, 1, 2)) == (0, 2, 1, 2)
+        assert cfe._reciprocal_state(normalize(0, 1, 1, 2)) == (0, 4, 2, 8)
 
-    def test_scaling(self):
-        # (-1+sqrt(2))/3 = (-3+sqrt(18))/9, whose 1/x is 3 + sqrt(18)
-        assert cfe._reciprocal_state(normalize(-1, 1, 3, 2)) == (3, 1, 9, 18)
+    def test_read_off_the_polynomial(self):
+        # (-1+sqrt(2))/3 is a root of 9t^2 + 6t - 1, and 1/x is (6 + sqrt(72))/2
+        assert cfe._reciprocal_state(normalize(-1, 1, 3, 2)) == (6, 2, 18, 72)
 
     def test_invariant_on_randoms(self):
         rng = random.Random(5)
@@ -55,6 +56,9 @@ class TestReciprocalState:
             p, q, q_prev, d = cfe._reciprocal_state(x)
             assert q_prev * q == d - p * p
             assert normalize(-p, 1, q_prev, d) == x
+            # every state is a form (Q/2, P, -Q_prev/2) of the discriminant
+            assert d == poly_discriminant(x)
+            assert q % 2 == q_prev % 2 == 0 and (p - d) % 2 == 0
 
 
 class TestExpand:
@@ -1133,7 +1137,7 @@ class TestHalfWalk:
             assert cfe_periodic(x) == _full_walk_periodic(x)
 
     def test_random_and_scaled_states(self):
-        # Q need not divide D - P*P as read off x; the state is then scaled
+        # Q need not divide D - P*P as read off x, where a state over b*b*d must scale
         rng = random.Random(229)
         scaled = 0
         for i in range(1500):

@@ -12,7 +12,6 @@ import pytest
 from conftest import fresh, random_surd
 from cuntzfrac import (
     BadMultiplicity,
-    Chain,
     CheckEntry,
     Cycle,
     EmptyWord,
@@ -36,7 +35,6 @@ from cuntzfrac import (
     minimal_period_normalize,
     normalize,
     orbit_decompose,
-    pj_equivalent,
     sigma_shift,
     surd_from_cfe,
     verify_cuntz_relations,
@@ -97,34 +95,14 @@ class TestWordPredicates:
 class TestRepClasses:
     def test_cycle_canonicalizes_at_construction(self):
         assert Cycle((2, 3, 1)) == Cycle((1, 2, 3))
+        assert Cycle((1, 2)) != Cycle((1, 3))
+        assert Cycle((1,)) != Cycle((1, 2))
         assert str(Cycle((2, 3, 1))) == "P(1,2,3)"
 
     def test_cycle_rejects_powers(self):
         for word in [(1, 2, 1, 2), (1, 1)]:
             with pytest.raises(NotPrimitive):
                 Cycle(word)
-
-    def test_chain_text(self):
-        assert str(Chain((1, 2, 3))) == "P(1,2,3,...)"
-        assert str(Chain(())) == "P(...)"
-
-    def test_chain_rejects_bad_entries(self):
-        with pytest.raises(ValueError):
-            Chain((1, 0, 2))
-
-    def test_pj_equivalent_cycles(self):
-        assert pj_equivalent(Cycle((1, 2, 3)), Cycle((3, 1, 2))) is True
-        assert pj_equivalent(Cycle((1, 2)), Cycle((1, 3))) is False
-        assert pj_equivalent(Cycle((1,)), Cycle((1, 2))) is False
-
-    def test_pj_equivalent_cycle_vs_chain(self):
-        assert pj_equivalent(Cycle((1,)), Chain((1, 1, 1))) is False
-        assert pj_equivalent(Chain((1, 1, 1)), Cycle((1,))) is False
-
-    def test_pj_equivalent_chains(self):
-        # a finite prefix decides nothing, not even for equal prefixes
-        assert pj_equivalent(Chain((1, 2)), Chain((9, 1, 2))) is None
-        assert pj_equivalent(Chain((1,)), Chain((1,))) is None
 
 
 class TestHugeEntries:
@@ -136,7 +114,6 @@ class TestHugeEntries:
         before = limit()
         assert str(Cycle((big, 1))) == f"P(1,{digits})"
         assert str(classify_surd(fresh(x))) == f"P(1,{digits})"
-        assert str(Chain((big,))) == f"P({digits},...)"
         assert str(WordOperator((big,), ())) == f"s[{digits}]"
         assert str(WordOperator((2,), (big,))) == f"s[2]s[{digits}]*"
         assert [e.instance for e in gp_vector_check((big,))] == [
@@ -284,8 +261,6 @@ class TestPublicConstructors:
             minimal_period_normalize((True,), (2,))
         with pytest.raises(ValueError, match="generator indices"):
             WordOperator((True,), ())
-        with pytest.raises(ValueError, match="prefix entries"):
-            Chain((True, 2))
         with pytest.raises(ValueError, match="generator indices start at 1"):
             label_cons(True, v)
 
@@ -304,7 +279,6 @@ class TestPublicConstructors:
             (PeriodicCFE([2], [3]), PeriodicCFE((2,), (3,))),
             (WordOperator([1], []), WordOperator((1,), ())),
             (WordOperator([], [1, 2]), WordOperator((), (1, 2))),
-            (Chain([1, 2]), Chain((1, 2))),
             (Cycle([2, 1]), Cycle((1, 2))),
         ]:
             assert value == want
@@ -320,8 +294,6 @@ def _matched(value):
             return m11, m12, m21, m22
         case Cycle(word):
             return (word,)
-        case Chain(prefix):
-            return (prefix,)
         case WordOperator(left, right, zero):
             return left, right, zero
         case CheckEntry(check, instance, verdict, residual):
@@ -336,7 +308,6 @@ VALUE_TYPES = [
     (UnimodularMatrix(2, 1, 1, 1), UnimodularMatrix(1, 1, 0, 1) @ UnimodularMatrix(1, 0, 1, 1),
      ("m11", "m12", "m21", "m22"), (2, 1, 1, 1), "UnimodularMatrix(m11=2, m12=1, m21=1, m22=1)"),
     (Cycle((2, 1)), Cycle._trusted((1, 2)), ("word",), ((1, 2),), "Cycle(word=(1, 2))"),
-    (Chain((1,)), Chain([1]), ("prefix",), ((1,),), "Chain(prefix=(1,))"),
     (WordOperator(), WordOperator._trusted((), ()), ("left", "right", "zero"), ((), (), False),
      "WordOperator(left=(), right=(), zero=False)"),
     (WordOperator((2,), (1, 3)), WordOperator._trusted((2,), (1, 3)), ("left", "right", "zero"),
@@ -351,7 +322,7 @@ VALUE_TYPES = [
 
 
 class TestValueTypes:
-    # the contract the six types kept from frozen dataclasses
+    # the contract the five types kept from frozen dataclasses
     @pytest.mark.parametrize("value, other, names, fields, text", VALUE_TYPES,
                              ids=[repr(v) for v, *_ in VALUE_TYPES])
     def test_frozen_value_contract(self, value, other, names, fields, text):
