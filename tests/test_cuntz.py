@@ -95,9 +95,13 @@ class TestWordPredicates:
 class TestRepClasses:
     def test_cycle_canonicalizes_at_construction(self):
         assert Cycle((2, 3, 1)) == Cycle((1, 2, 3))
+        assert str(Cycle((2, 3, 1))) == "P(1,2,3)"
+
+    def test_pj_equivalent_cycles(self):
+        # two cycles are P_J-equivalent exactly when they are equal values
+        assert Cycle((1, 2, 3)) == Cycle((3, 1, 2))
         assert Cycle((1, 2)) != Cycle((1, 3))
         assert Cycle((1,)) != Cycle((1, 2))
-        assert str(Cycle((2, 3, 1))) == "P(1,2,3)"
 
     def test_cycle_rejects_powers(self):
         for word in [(1, 2, 1, 2), (1, 1)]:
