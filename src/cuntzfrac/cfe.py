@@ -23,9 +23,9 @@ from .surds import (
     _Frozen,
     _json_int,
     _min_poly,
+    _mobius,
     _require_omega,
     _set_expansion,
-    mobius_apply,
 )
 
 Word = words.Word
@@ -427,10 +427,12 @@ def surd_from_cfe(e: PeriodicCFE) -> QuadraticSurd:
     rr, bb, qq = abc
     disc = bb * bb + 4 * rr * qq
     # rr, qq > 0, so the positive root is in (0, 1); what normalize checks holds:
-    # b = 1 makes the gcd 1, 2*rr > 0, and disc is no square, the value irrational
-    y = QuadraticSurd(-bb, 1, 2 * rr, disc)
+    # b = 1 makes the gcd 1, 2*rr > 0, and disc is no square, the value irrational;
+    # the initial block's fold, unimodular as built, maps those coefficients as integers
     if e.initial:
-        y = mobius_apply(UnimodularMatrix(*_fold(e.initial, 0, len(e.initial))), y)
+        y = _mobius(*_fold(e.initial, 0, len(e.initial)), -bb, 1, 2 * rr, disc)
+    else:
+        y = QuadraticSurd(-bb, 1, 2 * rr, disc)
     _set_expansion(y, e)
     return y
 

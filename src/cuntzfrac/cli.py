@@ -243,7 +243,8 @@ def cmd_corpus(args) -> int:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        payload, _, expected = (part.strip() for part in line.partition("=>"))
+        payload, _, expected = line.partition("=>")
+        payload, expected = payload.strip(), expected.strip()
         record: dict = {"line": lineno, "input": payload}
         try:
             out = _corpus_apply(args.mode, payload)

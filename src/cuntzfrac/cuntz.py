@@ -19,10 +19,9 @@ from .cfe import (
     block_prefix,
     cfe_expand,
     cfe_periodic,
-    cfe_step_matrix,
     sigma_shift,
 )
-from .surds import QuadraticSurd, _Frozen, _require_omega, mobius_apply
+from .surds import QuadraticSurd, _Frozen, _mobius, _require_omega
 
 Word = words.Word
 
@@ -406,5 +405,5 @@ def intertwiner_check(x: QuadraticSurd, i: int, n: int) -> bool:
     """
     _check_generator(i)
     _require_omega(x)
-    img = mobius_apply(cfe_step_matrix(i), x)
+    img = _mobius(0, 1, 1, i, x._a, x._b, x._c, x._d)  # the step 1/(x + i)
     return cfe_expand(img, n + 1) == (i,) + cfe_expand(x, n)

@@ -492,6 +492,8 @@ class UnimodularMatrix(_Frozen):
         return cls(1, 0, 0, 1)
 
     def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
+        if not isinstance(other, UnimodularMatrix):
+            return NotImplemented
         return UnimodularMatrix(
             self.m11 * other.m11 + self.m12 * other.m21,
             self.m11 * other.m12 + self.m12 * other.m22,
@@ -583,15 +585,20 @@ def gauss_tau(x: QuadraticSurd) -> QuadraticSurd:
     return shift_by_int(inv, -floor_of(inv))
 
 
-def mobius_apply(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:
-    """Exact image (m11*x + m12)/(m21*x + m22); the radicand class is preserved."""
-    a, b, c, d = x._a, x._b, x._c, x._d
-    na, nb = m.m11 * a + m.m12 * c, m.m11 * b
-    da, db = m.m21 * a + m.m22 * c, m.m21 * b
+def _mobius(m11: int, m12: int, m21: int, m22: int, a: int, b: int, c: int, d: int) -> QuadraticSurd:
+    # (m11*x + m12)/(m21*x + m22) for x = (a + b*sqrt(d))/c, on integer
+    # entries: the package's own maps (folds, single steps) come here unchecked
+    na, nb = m11 * a + m12 * c, m11 * b
+    da, db = m21 * a + m22 * c, m21 * b
     denom = da * da - db * db * d
     if denom == 0:
         raise NotIrrational("image denominator vanished")
     return QuadraticSurd(*_lowest_terms(na * da - nb * db * d, nb * da - na * db, denom), d)
+
+
+def mobius_apply(m: UnimodularMatrix, x: QuadraticSurd) -> QuadraticSurd:
+    """Exact image (m11*x + m12)/(m21*x + m22); the radicand class is preserved."""
+    return _mobius(m.m11, m.m12, m.m21, m.m22, x._a, x._b, x._c, x._d)
 
 
 def _min_poly(x: QuadraticSurd) -> tuple[int, int, int]:

@@ -126,8 +126,12 @@ def primitive_root_length(w: Word) -> int:
         if k % p == 0:
             while k % p == 0:
                 k //= p
-            while r % p == 0 and w[r // p:] == w[: n - r // p]:
-                r //= p
+            while r % p == 0:
+                t = r // p
+                # on a tail past 64 entries the first 64 refuse most wrong t cheaply
+                if n - t > 64 and w[t:t + 64] != w[:64] or w[t:] != w[: n - t]:
+                    break
+                r = t
         p += 1
     return r
 

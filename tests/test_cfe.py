@@ -572,8 +572,9 @@ def _sequential_surd_from_cfe(e):
     return y
 
 
-def _needs_scaling(x):
-    # the expansion state must scale when Q does not divide D - P*P as read off x
+def _old_core_scales(x):
+    # Q does not divide b*b*d - P*P as read off x: the values whose state over
+    # b*b*d the old core (_seen_dict_periodic) scaled; no state of the package scales
     p, q = (x.a, x.c) if x.b > 0 else (-x.a, -x.c)
     return (x.b * x.b * x.d - p * p) % q != 0
 
@@ -588,7 +589,7 @@ class TestCoreOracles:
         for i in range(600):
             x = random_surd(rng, max_d=150 if i % 3 else 10**5)
             negative_b += x.b < 0
-            scaled += _needs_scaling(x)
+            scaled += _old_core_scales(x)
             e = cfe_periodic(x)
             assert e == _seen_dict_periodic(x)
             # built without validation, so check that the output is canonical
@@ -603,6 +604,23 @@ class TestCoreOracles:
         rng = random.Random(n)
         w = tuple(rng.randint(1, 10**6) for _ in range(n))
         assert _fold(w, 0, n) == _sequential_fold(w)
+
+    @pytest.mark.parametrize("n", (1, 3, 10, 100, 1000))
+    def test_initial_block_applied_as_integers(self, n):
+        # the fold of the initial block maps the root's coefficients without a
+        # matrix; the answer matches the product of step matrices and keeps its
+        # block, which cfe_periodic returns without a walk
+        rng = random.Random(3200 + n)
+        for _ in range(20):
+            period = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 12)))
+            initial = tuple(rng.randint(1, 10**rng.randint(1, 6)) for _ in range(n - 1)) + (period[-1] + 1,)
+            e = minimal_period_normalize(initial, period)
+            assert len(e.initial) == n
+            x = surd_from_cfe(e)
+            assert x == _sequential_surd_from_cfe(e)
+            assert x._c > 0 and math.gcd(x._a, x._b, x._c) == 1
+            assert cfe_periodic(x) is e
+            assert cfe_periodic(fresh(x)) == e
 
     @pytest.mark.parametrize("n", FOLD_LENGTHS)
     def test_initial_block_tree(self, n):
@@ -1136,13 +1154,14 @@ class TestHalfWalk:
             x = _with_initial(initial, surd_from_cfe(PeriodicCFE((), period)))
             assert cfe_periodic(x) == _full_walk_periodic(x)
 
-    def test_random_and_scaled_states(self):
-        # Q need not divide D - P*P as read off x, where a state over b*b*d must scale
+    def test_random_states(self):
+        # seeded values, more than 300 of them with Q not dividing b*b*d - P*P:
+        # the values the old b*b*d core scaled, which the walk reads unscaled
         rng = random.Random(229)
         scaled = 0
         for i in range(1500):
             x = random_surd(rng, max_d=150 if i % 2 else 10**6)
-            scaled += _needs_scaling(x)
+            scaled += _old_core_scales(x)
             assert cfe_periodic(x) == _full_walk_periodic(x)
         assert scaled > 300
 

@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import fresh, random_surd
+from conftest import fresh, raised, random_surd
 from cuntzfrac import (
     BadMultiplicity,
     CheckEntry,
@@ -25,7 +25,9 @@ from cuntzfrac import (
     apply_word_op,
     block_prefix,
     canonical_cycle,
+    cfe_expand,
     cfe_periodic,
+    cfe_step_matrix,
     classify_surd,
     cycle_dft_split,
     gp_vector_check,
@@ -33,6 +35,7 @@ from cuntzfrac import (
     is_nonperiodic,
     label_cons,
     minimal_period_normalize,
+    mobius_apply,
     normalize,
     orbit_decompose,
     sigma_shift,
@@ -755,6 +758,22 @@ class TestIntertwiner:
         rng = random.Random(59)
         for _ in range(60):
             assert intertwiner_check(random_surd(rng), rng.randint(1, 6), 25)
+
+    def test_verdict_of_the_step_matrix(self):
+        # the step 1/(x + i) is applied as integers; the verdict is the one the
+        # step matrix gives through mobius_apply
+        rng = random.Random(3202)
+        for _ in range(200):
+            x, i, n = random_surd(rng, max_d=rng.choice((150, 10**9))), rng.randint(1, 9), rng.randint(1, 30)
+            img = mobius_apply(cfe_step_matrix(i), x)
+            assert intertwiner_check(x, i, n) is (cfe_expand(img, n + 1) == (i,) + cfe_expand(x, n))
+
+    def test_value_outside_omega(self):
+        assert raised(intertwiner_check, normalize(1, 1, 2, 5), 2, 5) == (
+            DomainError, "(1+1*sqrt(5))/2 is not inside (0, 1)")
+        # the generator is checked first
+        assert raised(intertwiner_check, normalize(1, 1, 2, 5), 0, 5) == (
+            ValueError, "generator indices start at 1")
 
     @pytest.mark.parametrize("i", [True, False, 2.0, "2", 0])
     def test_generator_must_be_a_positive_int(self, i):

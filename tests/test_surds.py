@@ -852,9 +852,28 @@ class TestMobius:
         assert m @ m.inverse() == UnimodularMatrix.identity()
         assert m.inverse() @ m == UnimodularMatrix.identity()
 
+    @pytest.mark.parametrize("other", [3, (1, 0, 0, 1), None])
+    def test_product_with_a_non_matrix(self, other):
+        m = UnimodularMatrix(2, 1, 1, 1)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            m @ other
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other @ m
+
     def test_identity(self):
         x = normalize(-3, 2, 7, 6)
         assert mobius_apply(UnimodularMatrix.identity(), x) == x
+
+    def test_integer_action_is_mobius_apply(self):
+        # the package's own maps skip the matrix; the stored coefficients agree
+        rng = random.Random(3201)
+        for _ in range(300):
+            x = random_surd(rng, max_d=rng.choice((150, 10**12)))
+            m = random_unimodular(rng, max_len=rng.choice((10, 60)))
+            y = surds._mobius(m.m11, m.m12, m.m21, m.m22, x._a, x._b, x._c, x._d)
+            z = mobius_apply(m, x)
+            assert (y._a, y._b, y._c, y._d) == (z._a, z._b, z._c, z._d)
+            assert y == z
 
     def test_translation(self):
         m = UnimodularMatrix(1, -1, 0, 1)

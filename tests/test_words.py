@@ -90,6 +90,24 @@ def test_primitive_root_length_matches_border_table():
         assert primitive_root_length(w) == _border_root_length(w)
 
 
+def test_primitive_root_length_head_test():
+    # near-powers of short roots over {1, 2}, so that candidate periods t leave
+    # tails n - t both shorter and longer than the 64 entries compared first
+    rng = random.Random(3203)
+    short = long = 0
+    for i in range(50_000):
+        u = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 8)))
+        w = u * rng.randint(1, 60)
+        if i % 2:
+            j = rng.randrange(len(w))
+            w = w[:j] + (3 - w[j],) + w[j + 1:]
+        r = _border_root_length(w)
+        short += len(w) - r < 64 < len(w)
+        long += len(w) - r > 64
+        assert primitive_root_length(w) == r
+    assert short > 1000 and long > 1000
+
+
 def test_failure_function():
     assert failure_function((1, 2, 1, 2, 1)) == [0, 0, 1, 2, 3]
     assert failure_function((1,)) == [0]
