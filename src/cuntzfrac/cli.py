@@ -217,27 +217,23 @@ def _corpus_apply(mode: str, payload: str) -> str:
     return str(classify_surd(parse_surd(payload)))
 
 
-def _results_json(results: list[dict]) -> str:
-    # json.dumps(results, indent=2) in one pass of the C encoder, which any
-    # indent turns off.  Records hold scalars only and strings escape their
-    # newlines, so each raw newline is a separator: the item separator puts
-    # the fields on their lines, and only a record boundary reads "},\n    {"
-    if not results:
-        return "[]"
-    import json
-    flat = json.dumps(results, separators=(",\n    ", ": "))
-    return "[\n  {\n    " + flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+# one corpus record as json.dumps(results, indent=2) writes it, one template per shape
+_CHECKED = '  {\n    "line": %d,\n    "input": %s,\n    "output": %s,\n    "expected": %s,\n    "status": "%s"\n  }'
+_UNCHECKED = '  {\n    "line": %d,\n    "input": %s,\n    "output": %s,\n    "status": "pass"\n  }'
+_INPUT_ERROR = '  {\n    "line": %d,\n    "input": %s,\n    "status": "error",\n    "error": %s\n  }'
+_EXPECTED_ERROR = '  {\n    "line": %d,\n    "input": %s,\n    "output": %s,\n    "status": "error",\n    "error": %s\n  }'
 
 
 def cmd_corpus(args) -> int:
     try:
-        with open(args.path, encoding="utf-8") as fh:
+        with open(args.path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
             raw_lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    from json.encoder import encode_basestring_ascii as enc  # json.dumps's own escaper
 
-    results = []
+    records = []  # each record's JSON text
     counts = {"pass": 0, "fail": 0, "error": 0}
     for lineno, raw in enumerate(raw_lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -245,26 +241,30 @@ def cmd_corpus(args) -> int:
             continue
         payload, _, expected = line.partition("=>")
         payload, expected = payload.strip(), expected.strip()
-        record: dict = {"line": lineno, "input": payload}
+        p, o = enc(payload), None
         try:
             out = _corpus_apply(args.mode, payload)
-            record["output"] = out
+            o = enc(out)
             if expected:
                 want = _corpus_expected(args.mode, expected, out)
-                record["expected"] = want
-                record["status"] = "pass" if out == want else "fail"
+                status = "pass" if out == want else "fail"
+                records.append(_CHECKED % (lineno, p, o, o if want is out else enc(want), status))
             else:
-                record["status"] = "pass"
+                status = "pass"
+                records.append(_UNCHECKED % (lineno, p, o))
         except (ParseError, DomainError, NotIrrational, ZeroDenominator, ValueError) as exc:
-            record["status"] = "error"
-            record["error"] = str(exc)
-        counts[record["status"]] += 1
-        results.append(record)
+            status, e = "error", enc(str(exc))
+            records.append(_INPUT_ERROR % (lineno, p, e) if o is None
+                           else _EXPECTED_ERROR % (lineno, p, o, e))
+        counts[status] += 1
 
     out_path = args.out or (args.path + ".results.json")
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(_results_json(results))
+            nl = "\n" if records else ""  # no entries read as "[]"
+            fh.write("[" + nl)
+            fh.write(",\n".join(records))
+            fh.write(nl + "]")
     except OSError as exc:
         print(f"cannot write results: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -436,26 +436,58 @@ class TestCorpus:
         assert (code, out) == (2, "")
         assert err.startswith("cannot write results: ") and str(out_path) in err
 
-    def test_results_file_is_indent_2_json(self, capsys, tmp_path):
-        # pass, fail and error lines; non-ASCII input; quotes and backslashes
-        # in the error text, which repeats the input
+    @pytest.mark.parametrize("mode, good, bad, bad_expected, bare", [
+        ("expand", "(-1+1*sqrt(3))/1 => (1,2)", "(-1+1*sqrt(3))/1 => (2,1)", "(-1+1*sqrt(3))/1 => (1,0)",
+         "(-1+1*sqrt(3))/1"),
+        ("solve", "(1) => (-1+1*sqrt(5))/2", "(2) => (-1+1*sqrt(5))/2", "(2) => (1+2*sqrt(5))/0", "(1,2)"),
+        ("classify", "(-1+1*sqrt(5))/2 => (1)", "(-1+1*sqrt(3))/1 => P(2)", "(-1+1*sqrt(3))/1 => P(0)",
+         "(-3+1*sqrt(13))/2"),
+    ], ids=["expand", "solve", "classify"])
+    def test_results_file_is_indent_2_json(self, capsys, tmp_path, mode, good, bad, bad_expected, bare):
+        # every record shape, each with its own key order: pass, fail, inputs
+        # that fail (non-ASCII; quotes and backslashes in the input, which the
+        # error text may repeat), an expected text that fails after the output
+        # is known, and a line with no expected value
         corpus = tmp_path / "mixed.txt"
         corpus.write_text(
-            "(-1+1*sqrt(5))/2 => (1)\n"
-            "(-1+1*sqrt(3))/1 => P(2)\n"
-            "(-1+1*sqrt(5))/2\u00e9 => (1)  # trailing \u00e9\n"
-            '(1+"x\\y)/2 => (1)\n'
-            "\u221a5 \U0001f600\n",
+            "\n".join([good, bad, "(-1+1*sqrt(5))/2\u00e9 => (1)  # trailing \u00e9", '(1+"x\\y)/2 => (1)',
+                       "\u221a5 \U0001f600", bad_expected, bare]) + "\n",
             encoding="utf-8",
         )
         out_file = tmp_path / "res.json"
-        code, _, _ = run(capsys, "corpus", str(corpus), "classify", "--out", str(out_file))
+        code, _, _ = run(capsys, "corpus", str(corpus), mode, "--out", str(out_file))
         assert code == 1
         text = out_file.read_text(encoding="utf-8")
         results = json.loads(text)
-        assert [r["status"] for r in results] == ["pass", "fail", "error", "error", "error"]
+        checked = ("line", "input", "output", "expected", "status")
+        input_error = ("line", "input", "status", "error")
+        assert [(tuple(r), r["status"]) for r in results] == [
+            (checked, "pass"), (checked, "fail"),
+            (input_error, "error"), (input_error, "error"), (input_error, "error"),
+            (("line", "input", "output", "status", "error"), "error"),
+            (("line", "input", "output", "status"), "pass"),
+        ]
+        assert results[5]["output"] == results[0 if mode == "expand" else 1]["output"]
         assert '\\"x\\\\y' in text and "\\u221a" in text
         assert text == json.dumps(results, indent=2)
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        corpus = tmp_path / "bom.txt"
+        corpus.write_bytes(b"\xef\xbb\xbf(1) => (-1+1*sqrt(5))/2\n")
+        code, out, _ = run(capsys, "corpus", str(corpus), "solve")
+        assert code == 0
+        assert "1 passed, 0 failed, 0 errors of 1 entries" in out
+        results = json.loads((tmp_path / "bom.txt.results.json").read_text())
+        assert results[0]["input"] == "(1)" and results[0]["status"] == "pass"
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        # a file that is not UTF-8 cannot be read, as a missing one cannot
+        corpus = tmp_path / "latin1.txt"
+        corpus.write_bytes("(1) => (-1+1*sqrt(5))/2  # \u00ff\n".encode("latin-1"))
+        code, out, err = run(capsys, "corpus", str(corpus), "solve")
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot read corpus: ") and "0xff" in err
+        assert not (tmp_path / "latin1.txt.results.json").exists()
 
     def test_comment_only_corpus_writes_an_empty_list(self, capsys, tmp_path):
         corpus = tmp_path / "empty.txt"
