@@ -252,7 +252,7 @@ def cmd_corpus(args) -> int:
             else:
                 status = "pass"
                 records.append(_UNCHECKED % (lineno, p, o))
-        except (ParseError, DomainError, NotIrrational, ZeroDenominator, ValueError) as exc:
+        except (ValueError, ZeroDenominator) as exc:
             status, e = "error", enc(str(exc))
             records.append(_INPUT_ERROR % (lineno, p, e) if o is None
                            else _EXPECTED_ERROR % (lineno, p, o, e))
@@ -404,14 +404,11 @@ def main(argv=None) -> int:
     try:
         args = _plain(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (DomainError, NotIrrational, ZeroDenominator) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
-        # bad argument values (e.g. --terms 0) count as usage errors
+        # a ParseError, or a bad argument value (e.g. --terms 0): a usage error
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     finally:

@@ -235,8 +235,6 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    if n % 2 == 0:
-        return 2
     import random  # on first use: start-up and small radicands never load it
     rng = random.Random(0xC0FFEE ^ n)
     while True:
@@ -267,23 +265,17 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if _is_probable_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    # divide each prime of the factor found out of n to its full power, so a
-    # prime power costs one Pollard-Brent run, not one per exponent level
-    primes: dict[int, int] = {}
-    _factor_into(_pollard_brent(n), primes)
-    for p in primes:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = out.get(p, 0) + e
-    _factor_into(n, out)
+def _radical(n: int) -> int:
+    # the product of the distinct primes of odd n >= 1, each once
+    rad = 1
+    while n > 1 and not _is_probable_prime(n):
+        g = _radical(_pollard_brent(n))
+        # divide each prime of the factor found out of n to its full power, so
+        # a prime power costs one Pollard-Brent run, not one per exponent level
+        while (h := math.gcd(n, g)) > 1:
+            n //= h
+        rad *= g
+    return rad * n
 
 
 def _peel(m: int, h: int, s: int, f: int) -> tuple[int, int, int]:
@@ -332,7 +324,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
     division: m fits one 64-bit decimal word, and each step is exact, since
     all operands are integers, every result is below 10**36 and a rounding
     would raise.  Cofactors of 10**18 and above go to Baillie-PSW and
-    Pollard-Brent.
+    Pollard-Brent for their primes, and the same gcds read the exponents.
     """
     if n < 1:
         raise ValueError("squarefree_split needs n >= 1")
@@ -352,15 +344,10 @@ def squarefree_split(n: int) -> tuple[int, int]:
     r = math.isqrt(m)
     if r * r == m:
         s *= r
-    elif m < _CERTIFIED_BELOW or _is_probable_prime(m):
+    elif m < _CERTIFIED_BELOW:
         f *= m
     else:
-        exps: dict[int, int] = {}
-        _factor_into(m, exps)
-        for p, e in exps.items():
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
+        _, s, f = _peel(m, _radical(m), s, f)
     return s, f
 
 

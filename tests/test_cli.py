@@ -23,7 +23,7 @@ from cuntzfrac import (
     normalize,
     surd_from_cfe,
 )
-from cuntzfrac import cli
+from cuntzfrac import cli, surds
 from cuntzfrac.cli import main
 from cuntzfrac.words import is_primitive
 
@@ -607,6 +607,35 @@ class TestJsonSchemas:
         corpus.write_text("(1)\n")
         _, out, _ = run(capsys, "corpus", str(corpus), "solve", "--format", "json")
         assert set(json.loads(out)) == {"entries", "pass", "fail", "error", "results"}
+
+
+class TestExceptionMap:
+    """Every route of the exception map: main's exit code and one stderr line,
+    and the error record that corpus writes for the same input."""
+
+    @pytest.mark.parametrize("argv, raised, code, message", [
+        (["classify", "garbage"], surds.ParseError, 2, "parse error: not a surd literal: 'garbage'"),
+        (["expand", GOLDEN, "--terms", "0"], ValueError, 2, "parse error: need n >= 1"),
+        (["classify", "(1+1*sqrt(5))/2"], surds.DomainError, 3,
+         "domain error: (1+1*sqrt(5))/2 is not inside (0, 1)"),
+        (["classify", "(1+1*sqrt(4))/1"], surds.NotIrrational, 3, "domain error: sqrt(4) = 2 is an integer"),
+        (["classify", "(1+1*sqrt(5))/0"], surds.ZeroDenominator, 3, "domain error: denominator is zero"),
+    ], ids=["ParseError", "ValueError", "DomainError", "NotIrrational", "ZeroDenominator"])
+    def test_route(self, capsys, tmp_path, argv, raised, code, message):
+        assert run(capsys, *argv) == (code, "", message + "\n")
+        if argv[0] != "classify":  # a corpus line has no --terms
+            with pytest.raises(ValueError) as exc:
+                cuntzfrac.cfe_expand(cuntzfrac.parse_surd(GOLDEN), 0)
+            assert type(exc.value) is raised
+            return
+        with pytest.raises(raised) as exc:
+            cli._corpus_apply("classify", argv[1])
+        assert type(exc.value) is raised
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(argv[1] + "\n")
+        assert run(capsys, "corpus", str(corpus), "classify")[0] == 1
+        results = json.loads((tmp_path / "c.txt.results.json").read_text())
+        assert results == [{"line": 1, "input": argv[1], "status": "error", "error": message.split(": ", 1)[1]}]
 
 
 class TestParserExits:

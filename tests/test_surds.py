@@ -158,7 +158,7 @@ class TestSquarefreeSplit:
             raise AssertionError(f"{n} went past the certificate")
 
         monkeypatch.setattr(surds, "_is_probable_prime", refuse)
-        monkeypatch.setattr(surds, "_factor_into", refuse)
+        monkeypatch.setattr(surds, "_radical", refuse)
         split = squarefree_split.__wrapped__  # past the cache, which may hold these
         rng = random.Random(1009)
         for _ in range(300):
@@ -268,7 +268,7 @@ def _refuse_factoring(monkeypatch) -> None:
     def refuse(n):
         raise AssertionError(f"{n} went past the certificate")
 
-    for name in ("_is_probable_prime", "_factor_into", "_pollard_brent"):
+    for name in ("_is_probable_prime", "_radical", "_pollard_brent"):
         monkeypatch.setattr(surds, name, refuse)
 
 
@@ -320,11 +320,15 @@ class TestGcdCertificate:
         small = math.prod(p for p in range(2, 1000) if _LPF[p] == p)
         below = next(m for m in range(10**18 - 1, 0, -1) if math.gcd(m, small) == 1)
         above = next(m for m in itertools.count(10**18) if math.gcd(m, small) == 1)
-        # the Miller-Rabin and Pollard-Brent path is the oracle for `below`
-        exps: dict[int, int] = {}
-        surds._factor_into(below, exps)
-        expect = (math.prod(p ** (e // 2) for p, e in exps.items()),
-                  math.prod(p for p, e in exps.items() if e % 2))
+        # the oracle for `below` takes its primes from the Baillie-PSW and
+        # Pollard-Brent path and counts their powers by division, not by _peel:
+        # levels[j] is the product of the primes of exponent > j
+        m, rad, levels = below, surds._radical(below), []
+        while (g := math.gcd(m, rad)) > 1:
+            m //= g
+            levels.append(g)
+        assert m == 1
+        expect = (math.prod(levels[1::2]), math.prod(levels[0::2]) // math.prod(levels[1::2]))
         _refuse_factoring(monkeypatch)
         split = squarefree_split.__wrapped__
         assert split(below) == expect
@@ -516,11 +520,36 @@ class TestPrimePowers:
         # about 0.6 s at e = 201; one run per exponent level took about 5 s
         assert time.perf_counter() - start < 4
 
-    def test_factor_into_counts_every_exponent(self):
+    def test_radical_and_split_of_two_prime_powers(self):
+        split = squarefree_split.__wrapped__
         for e, k in ((5, 3), (21, 2), (40, 17)):
-            exps: dict[int, int] = {}
-            surds._factor_into(self.P**e * self.Q**k, exps)
-            assert exps == {self.P: e, self.Q: k}
+            n = self.P**e * self.Q**k
+            assert surds._radical(n) == self.P * self.Q
+            assert split(n) == (self.P ** (e // 2) * self.Q ** (k // 2), self.P ** (e % 2) * self.Q ** (k % 2))
+
+
+class TestLargeCofactors:
+    """Cofactors of 10**18 and above, whose primes Baillie-PSW and
+    Pollard-Brent find and whose exponents _peel reads, against sympy."""
+
+    def test_against_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(34)
+        split = squarefree_split.__wrapped__  # past the cache
+        cases = []
+        while len(cases) < 40:
+            primes, count = set(), rng.randint(2, 4)
+            while len(primes) < count:
+                primes.add(int(sympy.nextprime(rng.randrange(10**6, 10**8 - 10**4))))
+            # the small multipliers in turn, so each meets about ten cofactors
+            n = (1, 2, 12, 360)[len(cases) % 4] * math.prod(p ** rng.randint(1, 5) for p in primes)
+            if n >= 10**18:
+                cases.append(n)
+        for n in cases:
+            exps = sympy.factorint(n)
+            want = (math.prod(int(p) ** (e // 2) for p, e in exps.items()),
+                    math.prod(int(p) for p, e in exps.items() if e % 2))
+            assert split(n) == want
 
 
 class TestMillerRabin:
